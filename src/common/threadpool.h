@@ -14,10 +14,12 @@
 // reorders, steals, or splits a lane).
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -125,6 +127,49 @@ inline int resolve_thread_count(int threads) {
     threads = hw != 0 ? int(hw) : 1;
   }
   return std::clamp(threads, 1, 64);
+}
+
+/// A pool of resolve_thread_count(threads) lanes, or nullptr when that is 1
+/// (serial callers then run inline and spawn nothing).
+inline std::unique_ptr<TaskPool> make_pool(int threads) {
+  const int t = resolve_thread_count(threads);
+  return t > 1 ? std::make_unique<TaskPool>(t) : nullptr;
+}
+
+/// The lanes of `pool`; 1 for nullptr.
+inline int lane_count(const TaskPool* pool) { return pool ? pool->threads() : 1; }
+
+/// Run fn(begin, end, lane) on lane_range(count, lanes, lane) for every lane
+/// with a non-empty slice. Inline as one slice when `pool` is nullptr.
+template <class Fn>
+void for_lane_ranges(TaskPool* pool, size_t count, Fn&& fn) {
+  const int lanes = lane_count(pool);
+  if (lanes == 1) {
+    if (count) fn(size_t(0), count, 0);
+    return;
+  }
+  pool->run([&](int lane) {
+    const LaneRange r = lane_range(count, lanes, lane);
+    if (r.begin < r.end) fn(r.begin, r.end, lane);
+  });
+}
+
+/// Run fn(item, lane) for every item in [0, count), the lanes claiming items
+/// one at a time in index order as they free up, so items of uneven cost
+/// balance across lanes. Which lane runs an item varies run to run, so
+/// callers keep per-item outputs and combine them in item order. Inline in
+/// index order when `pool` is nullptr.
+template <class Fn>
+void for_each_claimed(TaskPool* pool, size_t count, Fn&& fn) {
+  if (lane_count(pool) == 1) {
+    for (size_t i = 0; i < count; ++i) fn(i, 0);
+    return;
+  }
+  std::atomic<size_t> next{0};
+  pool->run([&](int lane) {
+    for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < count;)
+      fn(i, lane);
+  });
 }
 
 }  // namespace sperr

@@ -314,9 +314,10 @@ struct Server::Impl {
       return r;
     }
     std::vector<double> buf(chunk.dims.total(), 0.0);
-    const ChunkReport crep = detail::decode_chunk(oc, index, Recovery::fail_fast,
-                                                  buf.data(), &tls_arena(),
-                                                  cfg.intra_chunk_threads);
+    const ChunkReport crep = detail::decode_chunk(
+        oc, index, Recovery::fail_fast, buf.data(), &tls_arena(),
+        chunk_lanes(detail::thread_budget(cfg.threads_per_request), 1,
+                    cfg.intra_chunk_threads));
     if (crep.damaged()) {
       r.status = WireStatus::corrupt;
       return r;

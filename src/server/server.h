@@ -69,9 +69,10 @@ struct ServerConfig {
   /// cross-request parallelism beats intra-request parallelism under load.
   int threads_per_request = 1;
 
-  /// Deterministic SPECK lanes per chunk (sperr::Config::intra_chunk_threads;
-  /// streams are byte-identical at every setting).
-  int intra_chunk_threads = 1;
+  /// Lanes per chunk (sperr::Config::intra_chunk_threads; streams are
+  /// byte-identical at every setting). 0 applies sperr::chunk_lanes() to
+  /// threads_per_request, so a request never runs more threads than that.
+  int intra_chunk_threads = 0;
 
   /// Frames advertising a larger body are rejected (bad_request) and the
   /// connection closed.

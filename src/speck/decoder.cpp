@@ -12,9 +12,10 @@
 //     then apply the +/- thrd/2 updates over the contiguous value array —
 //     element-independent work that the intra-chunk parallel mode (threads
 //     > 1) partitions into fixed contiguous lanes, as it does the final
-//     coefficient scatter. The sorting pass itself is bit-serial by nature
-//     (each bit's meaning depends on every bit before it), so parallelism
-//     never touches it and the output is identical at every thread count.
+//     coefficient scatter and the set-tree build. The sorting pass itself
+//     is bit-serial by nature (each bit's meaning depends on every bit
+//     before it), so parallelism never touches it and the output is
+//     identical at every thread count.
 //
 // Significant-coefficient state lives in LSP order, not coefficient order:
 // parallel arrays of sign-tagged indices and reconstruction values appended
@@ -44,14 +45,14 @@ constexpr size_t kParallelGrain = size_t(1) << 14;
 
 class FastDecoder {
  public:
-  FastDecoder(BitReader br, Dims dims, const Header& hdr, int threads)
-      : br_(br), dims_(dims), hdr_(hdr), threads_(resolve_thread_count(threads)) {}
+  FastDecoder(BitReader br, Dims dims, const Header& hdr, TaskPool* pool)
+      : br_(br), dims_(dims), hdr_(hdr), pool_(pool), threads_(lane_count(pool)) {}
 
   Status run(double* coeffs, DecodeStats* stats) {
     const size_t n = dims_.total();
 
     if (hdr_.n_max >= 0) {
-      tree_.build(dims_);
+      tree_.build(dims_, pool_);
       lis_.resize(max_depth(dims_) + 1);
       lis_[0].push_back(0);  // root node id
 
@@ -67,7 +68,9 @@ class FastDecoder {
     // over them. Same per-element expression as the reference's write-out;
     // every coefficient turns significant at most once, so the indices are
     // unique and lanes never collide.
-    std::fill(coeffs, coeffs + n, 0.0);
+    for_lane_ranges(pool_, n, [&](size_t b, size_t e, int) {
+      std::fill(coeffs + b, coeffs + e, 0.0);
+    });
     scatter(lsp_sidx_, lsp_val_, coeffs);
     scatter(lnsp_sidx_, lnsp_val_, coeffs);
 
@@ -87,13 +90,6 @@ class FastDecoder {
     uint8_t next;
     bool any_sig;
   };
-
-  /// Lazily spawned worker pool: most streams never reach the parallel
-  /// grain, and a pool they would not use should cost nothing.
-  [[nodiscard]] TaskPool* pool() {
-    if (!pool_ && threads_ > 1) pool_ = std::make_unique<TaskPool>(threads_);
-    return pool_.get();
-  }
 
   [[nodiscard]] bool get(bool& bit) {
     bit = br_.get();
@@ -204,7 +200,7 @@ class FastDecoder {
       };
       if (threads_ > 1 && take >= kParallelGrain) {
         const int L = threads_;
-        pool()->run([&](int lane) {
+        pool_->run([&](int lane) {
           const LaneRange r = lane_range(take, L, lane);
           apply(r.begin, r.end);
         });
@@ -233,7 +229,7 @@ class FastDecoder {
     };
     if (threads_ > 1 && sidx.size() >= kParallelGrain) {
       const int L = threads_;
-      pool()->run([&](int lane) {
+      pool_->run([&](int lane) {
         const LaneRange r = lane_range(sidx.size(), L, lane);
         emit(r.begin, r.end);
       });
@@ -245,8 +241,8 @@ class FastDecoder {
   BitReader br_;
   Dims dims_;
   Header hdr_;
+  TaskPool* pool_;  ///< null when serial
   int threads_;
-  std::unique_ptr<TaskPool> pool_;
   bool done_ = false;
 
   SetTree tree_;  ///< structure only (planes are the encoder's side)
@@ -267,7 +263,8 @@ Status decode(const uint8_t* stream,
               Dims dims,
               double* coeffs,
               DecodeStats* stats,
-              int threads) {
+              int threads,
+              TaskPool* pool) {
   // Node ids in the flattened tree are uint32 (and coefficient indices carry
   // their sign in bit 31); beyond this fall back to the reference coder
   // (mirrors speck::encode).
@@ -284,7 +281,12 @@ Status decode(const uint8_t* stream,
   const uint64_t nbits = std::min<uint64_t>(hdr.nbits, payload_bytes * 8);
 
   BitReader br(stream + hr.pos(), payload_bytes, nbits);
-  FastDecoder dec(br, dims, hdr, threads);
+  std::unique_ptr<TaskPool> own;
+  if (!pool) {
+    own = make_pool(threads);
+    pool = own.get();
+  }
+  FastDecoder dec(br, dims, hdr, pool);
   return dec.run(coeffs, stats);
 }
 

@@ -11,6 +11,10 @@
 #include "common/types.h"
 #include "speck/common.h"
 
+namespace sperr {
+class TaskPool;
+}
+
 namespace sperr::speck {
 
 struct DecodeStats {
@@ -23,17 +27,19 @@ struct DecodeStats {
 /// doubles, fully overwritten; dead-zone coefficients become 0).
 ///
 /// `threads` parallelizes the data-parallel parts of the decode — the
-/// refinement-pass value updates and the final coefficient scatter (the
-/// sorting pass is bit-serial by nature). The output is identical at every
-/// thread count: each parallel region partitions a contiguous array into
-/// fixed lanes of element-independent updates. 0 = one lane per hardware
-/// thread.
+/// set-tree build, the refinement-pass value updates and the final
+/// coefficient scatter (the sorting pass is bit-serial by nature). The
+/// output is identical at every thread count: each parallel region splits
+/// its work into disjoint, element-independent parts. 0 = one lane per
+/// hardware thread. `pool`, when non-null, supplies the lanes instead (and
+/// `threads` is ignored).
 Status decode(const uint8_t* stream,
               size_t nbytes,
               Dims dims,
               double* coeffs,
               DecodeStats* stats = nullptr,
-              int threads = 1);
+              int threads = 1,
+              TaskPool* pool = nullptr);
 
 /// The original recursive decoder (reference.cpp), kept as the oracle for
 /// the flattened production decoder — identical output coefficients and

@@ -16,19 +16,22 @@
 //     a worklist copy. Only significant sets enter the frame-stack
 //     descent (the reference's recursion order, preserving the
 //     deducible-significance rule bit for bit).
-//   * Refinement bits are transposed at discovery: when a coefficient
+//   * Everything about a coefficient is settled at discovery: when it
 //     turns significant at plane p, its whole future refinement sequence
 //     is known (one integer — see sweep_found_significant for the
-//     derivation from the reference's strict-> residual chain), and its
-//     bits are appended to per-plane bit buffers right there. A
-//     refinement pass is then a single word-batched append of the
-//     prebuilt buffer for that plane — it never rescans the LSP.
-//   * Deterministic intra-chunk parallelism (threads > 1): each bucket's
-//     entries are partitioned into fixed, word-aligned contiguous lanes;
-//     every lane sweeps its slice into private bit/arrival/LNSP/refinement
-//     buffers, and the per-lane outputs merge in lane order. Lane
-//     concatenation reproduces the serial entry order exactly, so the
-//     stream is byte-identical at every thread count. (Safe because a
+//     derivation from the reference's strict-> residual chain), so its
+//     refinement bits go to per-plane bit buffers, its final
+//     reconstruction to the caller's recon array, and its error term to
+//     the estimated-RMSE fold right there. A refinement pass is then a
+//     single word-batched append of the prebuilt buffer for that plane,
+//     and nothing walks the significant set after the sweeps.
+//   * Deterministic intra-chunk parallelism (a pool of L > 1 lanes): each
+//     large bucket's words are cut into up to L * kSlicesPerLane
+//     contiguous word-aligned slices; lanes claim slices as they free up
+//     and sweep each into that slice's private Output (bits, arrivals,
+//     refinement bits, error terms), and the outputs merge in slice order.
+//     Slice concatenation reproduces the serial entry order exactly, so
+//     the stream is byte-identical at every lane count. (Safe because a
 //     descent from bucket d only spawns entries for strictly deeper
 //     buckets, never for the bucket being swept.)
 //
@@ -39,7 +42,7 @@
 //
 // tests/test_speck_fast.cpp holds this coder to bit-identical streams and
 // equal EncodeStats against encode_reference across shapes, modes, and
-// 1/2/4/8 intra-chunk threads.
+// 1/2/3/4/8 intra-chunk lanes.
 
 #include "speck/encoder.h"
 
@@ -64,9 +67,15 @@ namespace {
 
 /// Buckets below this size are swept serially even in parallel mode: the
 /// fork-join dispatch would cost more than the sweep. The output is
-/// invariant to this threshold — lane merge order equals serial order — so
-/// it is a pure tuning knob.
-constexpr size_t kParallelSortGrain = size_t(1) << 12;
+/// invariant to this threshold — slice merge order equals serial order —
+/// so it is a pure tuning knob.
+constexpr size_t kParallelSortGrain = 64;
+
+/// Slices per lane in a parallel bucket sweep. Significant sets bunch up in
+/// parts of a bucket, so equal contiguous lane shares leave most lanes idle
+/// while one finishes; many smaller slices claimed dynamically even the
+/// load out. Output-invariant, like the grain.
+constexpr size_t kSlicesPerLane = 16;
 
 /// Tombstone plane for a bucket entry whose set has descended. Strictly
 /// below every real cached plane (int path planes are in [-1, 50]), so a
@@ -76,31 +85,37 @@ constexpr int8_t kConsumed = -128;
 class FastEncoder {
  public:
   FastEncoder(const double* coeffs, Dims dims, double q, size_t budget_bits,
-              int threads)
+              TaskPool* pool)
       : coeffs_(coeffs), dims_(dims), q_(q), budget_(budget_bits) {
     const size_t n = dims.total();
-    // One linear scan: per-coefficient significance planes (consumed by the
-    // tree fill below) and the squared-magnitude sum for estimated_rmse().
-    // Same expressions in the same order as the reference, so the
-    // accumulated double is bit-identical. Stays serial: double addition is
-    // not associative and the estimate must match the reference exactly.
-    coeff_planes_.resize(n);
-    int16_t max_plane = kDeadPlane;
+    // Per-coefficient significance planes (consumed by the tree fill below)
+    // on the lanes; their max is the top plane.
+    std::vector<int16_t> coeff_planes(n);
+    std::vector<int16_t> lane_max(size_t(lane_count(pool)), kDeadPlane);
+    for_lane_ranges(pool, n, [&](size_t b, size_t e, int lane) {
+      int16_t mx = kDeadPlane;
+      for (size_t i = b; i < e; ++i) {
+        const int16_t p = plane_of(std::fabs(coeffs[i]) / q);
+        coeff_planes[i] = p;
+        mx = std::max(mx, p);
+      }
+      lane_max[size_t(lane)] = mx;
+    });
+    // plane_of(max m) == max plane_of(m): same top plane as the reference's
+    // `largest n with 2^n < max magnitude` search.
+    n_max_ = *std::max_element(lane_max.begin(), lane_max.end());
+    // The squared-magnitude sum for estimated_rmse() stays serial: double
+    // addition is not associative, and with the same expressions in the
+    // same order as the reference the accumulated double is bit-identical.
     for (size_t i = 0; i < n; ++i) {
       const double m = std::fabs(coeffs[i]) / q;
       mag_sq_sum_ += m * m;
-      const int16_t p = plane_of(m);
-      coeff_planes_[i] = p;
-      if (p > max_plane) max_plane = p;
     }
-    // plane_of(max m) == max plane_of(m): same top plane as the reference's
-    // `largest n with 2^n < max magnitude` search.
-    n_max_ = max_plane;
+    sq_ = mag_sq_sum_;
 
     if (n_max_ >= 0) {
-      tree_.build(dims);
-      tree_.fill_planes(coeff_planes_.data());
-      std::vector<int16_t>().swap(coeff_planes_);  // leaf planes live in the tree now
+      tree_.build(dims, pool);
+      tree_.fill_planes(coeff_planes.data(), pool);
     }
 
     // The packed-integer refinement path holds a coefficient's whole bit
@@ -112,67 +127,44 @@ class FastEncoder {
     int_path_ = budget_ == 0 && n_max_ <= 50;
     // The sweep engine (int path) is the only one with parallel lanes; the
     // serial fallbacks are inherently order-dependent.
-    threads_ = int_path_ ? resolve_thread_count(threads) : 1;
+    if (int_path_) pool_ = pool;
+    threads_ = lane_count(pool_);
   }
 
-  [[nodiscard]] double estimated_rmse() const {
-    double sq = mag_sq_sum_;  // start with everything in the dead zone...
-    auto account = [&](double m, double recon) {
-      const double e = m - recon;
-      sq += e * e - m * m;  // ...and swap coded ones to their true error
-    };
-    if (int_path_) {
-      // Unbudgeted runs refine every LSP entry down to plane 0 and finish
-      // with an empty LNSP, so every recon has the closed form below.
-      for (size_t j = 0; j < lsp_idx_.size(); ++j) {
-        const double m = mag(lsp_idx_[j]);
-        account(m, final_recon(m, lsp_v_[j]));
-      }
-    } else {
-      for (const auto& p : lsp_) account(mag(p.idx), p.recon);
-      for (const auto& p : lnsp_) account(mag(p.idx), p.recon);
-    }
-    const size_t n = dims_.total();
-    return n ? q_ * std::sqrt(std::max(sq, 0.0) / double(n)) : 0.0;
-  }
-
-  void export_recon(std::vector<double>& out) const {
-    out.assign(dims_.total(), 0.0);
-    auto emit = [&](uint64_t idx, double recon) {
-      out[idx] = (std::signbit(coeffs_[idx]) ? -recon : recon) * q_;
-    };
-    if (int_path_) {
-      for (size_t j = 0; j < lsp_idx_.size(); ++j)
-        emit(lsp_idx_[j], final_recon(mag(lsp_idx_[j]), lsp_v_[j]));
-    } else {
-      for (const auto& p : lsp_) emit(p.idx, p.recon);
-      for (const auto& p : lnsp_) emit(p.idx, p.recon);
-    }
-  }
-
-  std::vector<uint8_t> run(EncodeStats* stats) {
+  /// Encode; `recon`, when non-null, is a zeroed dims.total() array that
+  /// receives the decoder-equivalent reconstruction.
+  std::vector<uint8_t> run(EncodeStats* stats, double* recon) {
+    recon_ = recon;
     if (n_max_ >= 0) {
       if (int_path_) {
-        buckets_.resize(max_depth(dims_) + 1);
-        buckets_[0].push(0, int8_t(tree_.plane(0)));
+        // Every set is listed at most once, so a bucket never outgrows its
+        // depth's node count: reserve that (untouched pages cost nothing)
+        // and arrivals never reallocate a worklist.
+        out_.spill.resize(max_depth(dims_) + 1);
+        const auto& per_depth = tree_.depth_counts();
+        for (size_t d = 0; d < per_depth.size() && d < out_.spill.size(); ++d) {
+          out_.spill[d].ids.reserve(per_depth[d]);
+          out_.spill[d].planes.reserve(per_depth[d]);
+        }
+        out_.spill[0].push(0, int8_t(tree_.plane(0)));
         run_sweeps();
       } else {
         lis_.resize(max_depth(dims_) + 1);
         lis_[0].push_back({0, tree_.plane(0)});  // root node
         run_legacy();
+        if (recon) export_recon(recon);
       }
     }
 
     Header hdr;
     hdr.q = q_;
     hdr.n_max = n_max_;
-    const size_t nbits = int_path_ ? wbw_.bit_count() : bw_.bit_count();
+    const size_t nbits = int_path_ ? out_.bits.bit_count() : bw_.bit_count();
     hdr.nbits = nbits;
     if (stats) {
       stats->payload_bits = nbits;
       stats->planes_coded = planes_;
-      stats->significant_count =
-          int_path_ ? lsp_idx_.size() : lsp_.size() + lnsp_.size();
+      stats->significant_count = int_path_ ? out_.found : lsp_.size() + lnsp_.size();
       stats->estimated_coeff_rmse = estimated_rmse();
       stats->passes = std::move(pass_times_);
       stats->threads_used = threads_;
@@ -182,7 +174,7 @@ class FastEncoder {
     out.reserve(Header::kBytes + (nbits + 7) / 8);
     hdr.serialize(out);
     if (int_path_) {
-      const auto& payload = wbw_.finish();
+      const auto& payload = out_.bits.finish();
       out.insert(out.end(), payload.begin(), payload.end());
     } else {
       const auto payload = bw_.take();
@@ -240,67 +232,76 @@ class FastEncoder {
     bool any_sig;     ///< a significant child has been coded
     uint64_t planes;  ///< eight packed int8 child planes (for spills)
   };
+  using Frames = std::vector<SweepFrame>;
 
-  /// One sweep lane's output channels. The serial sweep's lane points
-  /// straight at the master structures (zero merge cost); parallel lanes
-  /// point at private buffers that merge, in lane order, after each bucket.
-  struct Lane {
-    WordBitWriter* bw = nullptr;
-    std::vector<Bucket>* spill = nullptr;  ///< per-depth arrival dest
-    std::vector<uint32_t>* lsp_idx = nullptr;
-    std::vector<uint64_t>* lsp_v = nullptr;
-    std::vector<WordBitWriter>* ref = nullptr;  ///< per-plane refinement bits
-    std::vector<SweepFrame> frames;  ///< descent stack (always private)
-    WordBitWriter local_bw;
-    std::vector<Bucket> local_spill;
-    std::vector<uint32_t> local_lsp_idx;
-    std::vector<uint64_t> local_lsp_v;
-    std::vector<WordBitWriter> local_ref;
-    double significance_s = 0.0;  ///< this bucket's packed-scan time
+  /// One lane's descent stack, on its own cache line (see Output).
+  struct alignas(64) LaneFrames {
+    Frames frames;
+  };
+
+  /// Everything a sweep emits, in serial order per channel. The master
+  /// Output out_ *is* the encoder state — the stream, the depth buckets
+  /// (arrivals are the worklists), the per-plane refinement streams — and
+  /// a serial sweep writes into it directly. A parallel bucket sweep gives
+  /// each slice a private Output and appends them to out_ in slice order.
+  /// Cache-line aligned: neighbouring slices run on different lanes, and
+  /// their writers' hot fields must not share a line.
+  struct alignas(64) Output {
+    WordBitWriter bits;
+    std::vector<Bucket> spill;       ///< arriving child sets, per depth
+    std::vector<WordBitWriter> ref;  ///< refinement bits, per plane
+    std::vector<double> terms;       ///< error terms, in discovery order
+    size_t found = 0;                ///< coefficients discovered
   };
 
   [[nodiscard]] double mag(uint64_t idx) const {
     return std::fabs(coeffs_[idx]) / q_;
   }
 
+  [[nodiscard]] double estimated_rmse() const {
+    // Start with everything in the dead zone, then swap each coded
+    // coefficient's m^2 for its true squared error.
+    double sq = sq_;  // the sweeps already folded their terms in
+    auto account = [&](double m, double recon) {
+      const double e = m - recon;
+      sq += e * e - m * m;
+    };
+    for (const auto& p : lsp_) account(mag(p.idx), p.recon);
+    for (const auto& p : lnsp_) account(mag(p.idx), p.recon);
+    const size_t n = dims_.total();
+    return n ? q_ * std::sqrt(std::max(sq, 0.0) / double(n)) : 0.0;
+  }
+
+  /// Legacy engine's reconstruction into a zeroed array.
+  void export_recon(double* out) const {
+    auto emit = [&](uint64_t idx, double recon) {
+      out[idx] = (std::signbit(coeffs_[idx]) ? -recon : recon) * q_;
+    };
+    for (const auto& p : lsp_) emit(p.idx, p.recon);
+    for (const auto& p : lnsp_) emit(p.idx, p.recon);
+  }
+
   // --- sweep engine (unbudgeted, <= 50 planes) -----------------------------
 
   void run_sweeps() {
-    // Refinement bits for plane n collect in ref_streams_[n] as coefficients
+    // Refinement bits for plane n collect in out_.ref[n] as coefficients
     // are discovered (planes n_max_-1 .. 0 can receive bits).
-    ref_streams_.resize(size_t(n_max_) + 1);
-    serial_lane_.bw = &wbw_;
-    serial_lane_.spill = &buckets_;
-    serial_lane_.lsp_idx = &lsp_idx_;
-    serial_lane_.lsp_v = &lsp_v_;
-    serial_lane_.ref = &ref_streams_;
-    if (threads_ > 1) {
-      pool_ = std::make_unique<TaskPool>(threads_);
-      lanes_.resize(size_t(threads_));
-      for (Lane& ln : lanes_) {
-        ln.bw = &ln.local_bw;
-        ln.local_spill.resize(buckets_.size());
-        ln.spill = &ln.local_spill;
-        ln.lsp_idx = &ln.local_lsp_idx;
-        ln.lsp_v = &ln.local_lsp_v;
-        ln.local_ref.resize(ref_streams_.size());
-        ln.ref = &ln.local_ref;
-      }
-    }
+    out_.ref.resize(size_t(n_max_) + 1);
+    lane_frames_.resize(size_t(threads_));
 
     for (int32_t n = n_max_; n >= 0; --n) {
       const double thrd = std::ldexp(1.0, n);
       PassTiming pt;
       pt.plane = n;
       Timer t;
-      const uint64_t b0 = wbw_.bit_count();
+      const uint64_t b0 = out_.bits.bit_count();
       sweep_sorting_pass(n, thrd, pt);
       pt.sorting_s = t.seconds();
-      pt.sorting_bits = wbw_.bit_count() - b0;
+      pt.sorting_bits = out_.bits.bit_count() - b0;
       t.reset();
       sweep_refinement_pass(n);
       pt.refinement_s = t.seconds();
-      pt.refinement_bits = wbw_.bit_count() - b0 - pt.sorting_bits;
+      pt.refinement_bits = out_.bits.bit_count() - b0 - pt.sorting_bits;
       pass_times_.push_back(pt);
     }
   }
@@ -310,68 +311,103 @@ class FastEncoder {
     // Deepest (smallest) sets first; children spawned by descents land in
     // deeper buckets that were already swept, so every set is examined
     // exactly once per plane — the reference's order.
-    for (size_t d = buckets_.size(); d-- > 0;) {
-      Bucket& bk = buckets_[d];
+    for (size_t d = out_.spill.size(); d-- > 0;) {
+      const Bucket& bk = out_.spill[d];
       const size_t count = bk.ids.size();
       if (count == 0) continue;
       const size_t nwords = (count + 63) / 64;
       sig_.resize_for_overwrite(count);
       live_.resize_for_overwrite(count);
 
-      if (pool_ && count >= kParallelSortGrain) {
-        // Word-aligned contiguous lanes: each lane packs and sweeps its own
-        // slice (its run scans never read another lane's words or mark
-        // another lane's tombstones), then the outputs merge below in lane
+      if (threads_ > 1 && count >= kParallelSortGrain) {
+        // Pack the words on the lanes, then sweep contiguous entry slices:
+        // a slice's run scans only read the shared words and it tombstones
+        // only its own entries. The slice outputs merge below in slice
         // order == serial entry order.
-        const int L = threads_;
-        pool_->run([&](int lane) {
-          Lane& ln = lanes_[size_t(lane)];
-          const LaneRange wr = lane_range(nwords, L, lane);
-          const size_t b = wr.begin * 64;
-          const size_t e = std::min(wr.end * 64, count);
-          if (b >= e) return;
-          Timer lt;
-          fill_sig_words(bk, n, b, e);
-          ln.significance_s = lt.seconds();
-          sweep_range(d, n, thrd, b, e, ln);
+        Timer t;
+        for_lane_ranges(pool_, nwords, [&](size_t wb, size_t we, int) {
+          fill_sig_words(bk, n, wb * 64, std::min(we * 64, count));
         });
-        for (Lane& ln : lanes_) {
-          pt.significance_s += ln.significance_s;  // folded in lane order
-          ln.significance_s = 0.0;
-          const auto& bits = ln.local_bw.finish();
-          wbw_.append_bits(bits.data(), ln.local_bw.bit_count());
-          ln.local_bw.clear();
-          for (size_t dd = 0; dd < buckets_.size(); ++dd) {
-            Bucket& src = ln.local_spill[dd];
-            buckets_[dd].ids.insert(buckets_[dd].ids.end(), src.ids.begin(),
-                                    src.ids.end());
-            buckets_[dd].planes.insert(buckets_[dd].planes.end(),
-                                       src.planes.begin(), src.planes.end());
-            src.ids.clear();
-            src.planes.clear();
-          }
-          lsp_idx_.insert(lsp_idx_.end(), ln.local_lsp_idx.begin(),
-                          ln.local_lsp_idx.end());
-          lsp_v_.insert(lsp_v_.end(), ln.local_lsp_v.begin(),
-                        ln.local_lsp_v.end());
-          ln.local_lsp_idx.clear();
-          ln.local_lsp_v.clear();
-          for (int32_t b = 0; b < n; ++b) {
-            WordBitWriter& src = ln.local_ref[size_t(b)];
-            if (src.bit_count()) {
-              ref_streams_[size_t(b)].append_bits(src.finish().data(),
-                                                  src.bit_count());
-              src.clear();
-            }
-          }
+        pt.significance_s += t.seconds();
+        const size_t nslices = std::min(count, size_t(threads_) * kSlicesPerLane);
+        while (slices_.size() < nslices) {
+          slices_.emplace_back();
+          slices_.back().spill.resize(out_.spill.size());
+          slices_.back().ref.resize(out_.ref.size());
         }
+        for_each_claimed(pool_, nslices, [&](size_t s, int lane) {
+          const LaneRange r = lane_range(count, int(nslices), int(s));
+          sweep_range(d, n, thrd, r.begin, r.end, slices_[s],
+                      lane_frames_[size_t(lane)].frames);
+        });
+        merge_slices(nslices, n);
       } else {
         Timer t;
         fill_sig_words(bk, n, 0, count);
         pt.significance_s += t.seconds();
-        sweep_range(d, n, thrd, 0, count, serial_lane_);
+        sweep_range(d, n, thrd, 0, count, out_, sweep_frames_);
+        fold_terms(out_.terms);
       }
     }
+  }
+
+  /// Append slice outputs [0, nslices) to the master output, in slice
+  /// order, and empty them. Every slice's arrivals have a precomputed
+  /// offset in their depth's bucket, so lanes copy them in parallel, one
+  /// slice each; the refinement streams of planes below n merge in
+  /// parallel one plane each. The stream bits and the error-term fold stay
+  /// serial — both are order-dependent and cheap.
+  void merge_slices(size_t nslices, int32_t n) {
+    const size_t depths = out_.spill.size();
+    spill_at_.resize(nslices * depths);
+    for (size_t dd = 0; dd < depths; ++dd) {
+      size_t at = out_.spill[dd].ids.size();
+      for (size_t s = 0; s < nslices; ++s) {
+        spill_at_[s * depths + dd] = at;
+        at += slices_[s].spill[dd].ids.size();
+      }
+      out_.spill[dd].ids.resize(at);
+      out_.spill[dd].planes.resize(at);
+    }
+    for_each_claimed(pool_, nslices + size_t(n), [&](size_t item, int) {
+      if (item < nslices) {
+        for (size_t dd = 0; dd < depths; ++dd) {
+          Bucket& src = slices_[item].spill[dd];
+          Bucket& dst = out_.spill[dd];
+          const size_t at = spill_at_[item * depths + dd];
+          std::copy(src.ids.begin(), src.ids.end(), dst.ids.begin() + ptrdiff_t(at));
+          std::copy(src.planes.begin(), src.planes.end(),
+                    dst.planes.begin() + ptrdiff_t(at));
+          src.ids.clear();
+          src.planes.clear();
+        }
+        return;
+      }
+      const size_t b = item - nslices;
+      for (size_t s = 0; s < nslices; ++s) {
+        WordBitWriter& src = slices_[s].ref[b];
+        if (src.bit_count()) {
+          out_.ref[b].append_bits(src.finish().data(), src.bit_count());
+          src.clear();
+        }
+      }
+    });
+    for (size_t s = 0; s < nslices; ++s) {
+      Output& o = slices_[s];
+      out_.bits.append_bits(o.bits.finish().data(), o.bits.bit_count());
+      o.bits.clear();
+      fold_terms(o.terms);
+      out_.found += o.found;
+      o.found = 0;
+    }
+  }
+
+  /// The estimated-RMSE fold: add error terms to sq_ in discovery order —
+  /// serially, so the double matches the reference's LSP-order sum — and
+  /// drop them, so no buffer grows past one bucket sweep's discoveries.
+  void fold_terms(std::vector<double>& terms) {
+    for (const double t : terms) sq_ += t;
+    terms.clear();
   }
 
   /// Pack significance (`plane >= n`) and liveness (`plane != kConsumed`)
@@ -418,20 +454,21 @@ class FastEncoder {
     }
   }
 
-  /// Sweep entries [b, e) of bucket `d`: runs of live insignificant sets
-  /// are counted by popcount and emitted as one batched zero run (the sets
-  /// themselves stay listed in place — no copy); significant sets emit
-  /// their 1-bit, descend, and are tombstoned. `b` is a multiple of 64.
+  /// Sweep entries [b, e) of bucket `d` into `o`: runs of live
+  /// insignificant sets are counted by popcount and emitted as one batched
+  /// zero run (the sets themselves stay listed in place — no copy);
+  /// significant sets emit their 1-bit, descend, and are tombstoned.
   void sweep_range(size_t d, int32_t n, double thrd, size_t b, size_t e,
-                   Lane& lane) {
-    Bucket& bk = buckets_[d];
+                   Output& o, Frames& frames) {
+    Bucket& bk = out_.spill[d];
     const uint64_t* sigw = sig_.word_data();
     const uint64_t* livew = live_.word_data();
     size_t zeros = 0;
     for (size_t w = b >> 6; w * 64 < e; ++w) {
       const size_t base = w * 64;
       uint64_t window = ~uint64_t(0);
-      if (e - base < 64) window = (uint64_t(1) << (e - base)) - 1;
+      if (base < b) window <<= b - base;
+      if (e - base < 64) window &= (uint64_t(1) << (e - base)) - 1;
       uint64_t sig = sigw[w] & window;
       uint64_t live = livew[w] & window;
       while (sig != 0) {
@@ -441,17 +478,17 @@ class FastEncoder {
         live &= ~below & ~(uint64_t(1) << k);
         sig &= sig - 1;
         if (zeros) {
-          lane.bw->put_zeros(zeros);
+          o.bits.put_zeros(zeros);
           zeros = 0;
         }
-        lane.bw->put_bits(1, 1);
+        o.bits.put_bits(1, 1);
         const size_t idx = base + k;
-        sweep_descend(bk.ids[idx], uint32_t(d), n, thrd, lane);
+        sweep_descend(bk.ids[idx], uint32_t(d), n, thrd, o, frames);
         bk.planes[idx] = kConsumed;
       }
       zeros += size_t(std::popcount(live));
     }
-    if (zeros) lane.bw->put_zeros(zeros);
+    if (zeros) o.bits.put_zeros(zeros);
   }
 
   /// One branchless pass over a node's children: pack their max planes into
@@ -487,12 +524,11 @@ class FastEncoder {
   /// Spilled-set order and the emitted bit sequence are unchanged: bits and
   /// bucket arrivals are separate channels, and each stays in child order.
   void sweep_descend(uint32_t id, uint32_t depth, int32_t n, double thrd,
-                     Lane& lane) {
+                     Output& o, Frames& frames) {
     if (tree_.is_leaf(id)) {
-      sweep_found_significant(tree_.coeff_index(id), n, thrd, lane);
+      sweep_found_significant(tree_.coeff_index(id), n, thrd, o);
       return;
     }
-    auto& frames = lane.frames;
     frames.clear();
     frames.push_back(make_frame(id, n));
     while (!frames.empty()) {
@@ -505,10 +541,10 @@ class FastEncoder {
         // a significant parent has at least one significant child.)
         const uint32_t cnt = uint32_t(f.nc) - f.next;
         if (cnt) {
-          lane.bw->put_zeros(cnt);
+          o.bits.put_zeros(cnt);
           // Child depth = entry depth + descent depth (frames holds the
           // child's ancestors up to and including its parent).
-          Bucket& dest = (*lane.spill)[depth + frames.size()];
+          Bucket& dest = o.spill[depth + frames.size()];
           for (uint32_t i = f.next; i < f.nc; ++i)
             dest.push(first + i, int8_t(f.planes >> (8 * i)));
         }
@@ -518,22 +554,22 @@ class FastEncoder {
       const uint32_t j = f.next + uint32_t(std::countr_zero(rem));
       const uint32_t gap = j - f.next;  // insignificant siblings before j
       if (gap) {
-        Bucket& dest = (*lane.spill)[depth + frames.size()];
+        Bucket& dest = o.spill[depth + frames.size()];
         for (uint32_t i = f.next; i < j; ++i)
           dest.push(first + i, int8_t(f.planes >> (8 * i)));
       }
       if (j == uint32_t(f.nc) - 1 && !f.any_sig) {
         // Last child of a parent with no significant sibling must itself be
         // significant: no bit (encoder and decoder both deduce it).
-        if (gap) lane.bw->put_zeros(gap);
+        if (gap) o.bits.put_zeros(gap);
       } else {
-        lane.bw->put_bits(uint64_t(1) << gap, gap + 1);
+        o.bits.put_bits(uint64_t(1) << gap, gap + 1);
       }
       f.any_sig = true;
       f.next = uint8_t(j + 1);
       const uint32_t child = first + j;
       if (tree_.is_leaf(child)) {
-        sweep_found_significant(tree_.coeff_index(child), n, thrd, lane);
+        sweep_found_significant(tree_.coeff_index(child), n, thrd, o);
         continue;
       }
       frames.push_back(make_frame(child, n));
@@ -549,35 +585,40 @@ class FastEncoder {
   /// for integral r0 = I the strict inequality shifts everything to I - 1.
   /// That integer is captured once here, and its bits are transposed into
   /// the per-plane refinement streams immediately — refinement passes never
-  /// revisit the coefficient.
-  void sweep_found_significant(uint32_t idx, int32_t n, double thrd,
-                               Lane& lane) {
+  /// revisit the coefficient. The final reconstruction follows in closed
+  /// form: the reference subtracts 2^n + v in total and adds half the final
+  /// interval (plane 0 => 0.5) — exact for spans <= 50 planes, hence
+  /// bit-identical — and so does the coefficient's error term.
+  void sweep_found_significant(uint32_t idx, int32_t n, double thrd, Output& o) {
     const double c = coeffs_[idx];
-    lane.bw->put_bits(uint64_t(std::signbit(c)), 1);
+    o.bits.put_bits(uint64_t(std::signbit(c)), 1);
+    const double m = std::fabs(c) / q_;
     uint64_t v = 0;
     if (n > 0) {  // at plane 0, m in (1, 2] forces v = 0 and no future bits
-      const double r0 = std::fabs(c) / q_ - thrd;  // exact: m in (thrd, 2*thrd]
+      const double r0 = m - thrd;  // exact: m in (thrd, 2*thrd]
       // ceil(r0) - 1 without libm: r0 > 0, so trunc == floor, and ceil
       // differs from floor + 1 exactly when r0 is integral.
       const uint64_t t = uint64_t(r0);
       v = double(t) == r0 ? t - 1 : t;
-      auto& refs = *lane.ref;
       for (int32_t b = n - 1; b >= 0; --b)
-        refs[size_t(b)].put_bits((v >> unsigned(b)) & uint64_t(1), 1);
+        o.ref[size_t(b)].put_bits((v >> unsigned(b)) & uint64_t(1), 1);
     }
-    lane.lsp_idx->push_back(idx);
-    lane.lsp_v->push_back(v);
+    const double recon = double((uint64_t(1) << n) + v) + 0.5;
+    const double e = m - recon;
+    o.terms.push_back(e * e - m * m);
+    // Each coefficient is discovered once, so lanes never write one slot.
+    if (recon_) recon_[idx] = (std::signbit(c) ? -recon : recon) * q_;
+    ++o.found;
   }
 
   /// Emit plane n's refinement bits: every entry discovered at a plane
-  /// above n already deposited its bit for plane n into ref_streams_[n]
-  /// (in LSP discovery order — lane merges preserve it), so the pass is one
-  /// word-batched append. Nothing else to do: lsp_idx_/lsp_v_ fill directly
-  /// at discovery, and an entry found at plane p never refines at plane p.
+  /// above n already deposited its bit for plane n into out_.ref[n] (in
+  /// discovery order — slice merges preserve it), so the pass is one
+  /// word-batched append.
   void sweep_refinement_pass(int32_t n) {
-    WordBitWriter& rb = ref_streams_[size_t(n)];
+    WordBitWriter& rb = out_.ref[size_t(n)];
     if (rb.bit_count()) {
-      wbw_.append_bits(rb.finish().data(), rb.bit_count());
+      out_.bits.append_bits(rb.finish().data(), rb.bit_count());
       rb.clear();
     }
   }
@@ -678,14 +719,6 @@ class FastEncoder {
     lnsp_.push_back({idx, mag(idx), 1.5 * thrd});
   }
 
-  /// Closed form of the reference's recon accumulation for a fully refined
-  /// entry: subtracted total 2^p + v, plus half the final interval (plane 0
-  /// => 0.5). Exact for spans <= 50 planes, hence bit-identical.
-  [[nodiscard]] double final_recon(double m, uint64_t v) const {
-    const int16_t p = plane_of(m);
-    return double((uint64_t(1) << p) + v) + 0.5;
-  }
-
   void refinement_pass(double thrd) {
     if (budget_ == 0) {
       // >50-plane fallback: the reference's residual walk with batched
@@ -725,9 +758,10 @@ class FastEncoder {
   double q_;
   size_t budget_;
   bool budget_hit_ = false;
+  double* recon_ = nullptr;  ///< sweep engine's recon destination (nullable)
 
-  std::vector<int16_t> coeff_planes_;  ///< per-coefficient planes (build-time only)
   double mag_sq_sum_ = 0.0;
+  double sq_ = 0.0;  ///< estimated-RMSE accumulator (see fold_terms)
   int32_t n_max_ = -1;
   size_t planes_ = 0;
   std::vector<PassTiming> pass_times_;
@@ -736,24 +770,22 @@ class FastEncoder {
 
   bool int_path_ = false;  ///< packed-integer refinement (see constructor)
   int threads_ = 1;
-  std::unique_ptr<TaskPool> pool_;  ///< non-null only when threads_ > 1
-  Lane serial_lane_;
-  std::vector<Lane> lanes_;
-  std::vector<Bucket> buckets_;  ///< sweep worklists, bucketed by depth
+  TaskPool* pool_ = nullptr;  ///< sweep lanes; null when serial
+  Output out_;                ///< the stream and worklists (see Output)
+  std::vector<Output> slices_;       ///< parallel sweep's per-slice outputs
+  std::vector<size_t> spill_at_;     ///< merge offsets, [slice][depth]
+  Frames sweep_frames_;              ///< serial sweep's descent stack
+  std::vector<LaneFrames> lane_frames_;  ///< per-lane descent stacks
   PackedBits sig_;   ///< per-bucket packed significance bits (scratch)
   PackedBits live_;  ///< per-bucket packed liveness bits (scratch)
-  std::vector<WordBitWriter> ref_streams_;  ///< per-plane refinement bits
 
   std::vector<std::vector<LisEntry>> lis_;  ///< legacy worklists by depth
   std::vector<LisEntry> pending_;           ///< legacy per-bucket scratch
   std::vector<Frame> frames_;               ///< legacy engine's descent stack
 
-  std::vector<uint32_t> lsp_idx_;  ///< int path: coefficient indices, LSP order
-  std::vector<uint64_t> lsp_v_;    ///< int path: packed refinement bit sequences
   std::vector<SigEntry> lsp_;  ///< fallback paths: residual-walk entries
   std::vector<SigEntry> lnsp_;
-  WordBitWriter wbw_;  ///< sweep engine's master stream
-  BitWriter bw_;       ///< legacy engine's stream
+  BitWriter bw_;  ///< legacy engine's stream
 };
 
 }  // namespace
@@ -764,15 +796,20 @@ std::vector<uint8_t> encode(const double* coeffs,
                             size_t budget_bits,
                             EncodeStats* stats,
                             std::vector<double>* recon_out,
-                            int threads) {
+                            int threads,
+                            TaskPool* pool) {
   // Node ids in the flattened tree are uint32; beyond this (far above any
   // real chunk) fall back to the reference coder.
   if (dims.total() >= (size_t(1) << 31))
     return encode_reference(coeffs, dims, q, budget_bits, stats, recon_out);
-  FastEncoder enc(coeffs, dims, q, budget_bits, threads);
-  auto stream = enc.run(stats);
-  if (recon_out) enc.export_recon(*recon_out);
-  return stream;
+  std::unique_ptr<TaskPool> own;
+  if (!pool) {
+    own = make_pool(threads);
+    pool = own.get();
+  }
+  if (recon_out) recon_out->assign(dims.total(), 0.0);
+  FastEncoder enc(coeffs, dims, q, budget_bits, pool);
+  return enc.run(stats, recon_out ? recon_out->data() : nullptr);
 }
 
 }  // namespace sperr::speck

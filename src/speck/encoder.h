@@ -16,6 +16,10 @@
 #include "common/types.h"
 #include "speck/common.h"
 
+namespace sperr {
+class TaskPool;
+}
+
 namespace sperr::speck {
 
 /// Cost breakdown of one bitplane, filled by the production encoder. The
@@ -62,18 +66,22 @@ struct EncodeStats {
 /// transform plus a comparison). Only exact in unbudgeted mode.
 ///
 /// `threads` enables deterministic intra-chunk parallelism: each bitplane's
-/// worklists are partitioned into fixed contiguous lanes whose outputs merge
-/// in lane order, so the stream is byte-identical at every thread count
-/// (including to the serial engine and to encode_reference). 0 = one lane
-/// per hardware thread; budgeted mode (which must stop on an exact mid-pass
-/// bit) always runs serial.
+/// large worklists are cut into fixed contiguous slices that lanes claim
+/// dynamically, and the slice outputs merge in slice order, so the stream
+/// is byte-identical at every thread count (including to the serial engine
+/// and to encode_reference). The set-tree build and the plane scan run on
+/// the same lanes. 0 = one lane per hardware thread; budgeted mode (which
+/// must stop on an exact mid-pass bit) always sweeps serially. `pool`, when
+/// non-null, supplies the lanes instead (and `threads` is ignored), so a
+/// caller can run every stage of a chunk on one set of threads.
 std::vector<uint8_t> encode(const double* coeffs,
                             Dims dims,
                             double q,
                             size_t budget_bits = 0,
                             EncodeStats* stats = nullptr,
                             std::vector<double>* recon_out = nullptr,
-                            int threads = 1);
+                            int threads = 1,
+                            TaskPool* pool = nullptr);
 
 /// The original recursive, lazily-evaluated coder (reference.cpp), kept as
 /// the bit-exactness oracle for the flattened production encoder — same

@@ -20,10 +20,22 @@
 //
 // The structure depends only on the grid extents, so encoder and decoder
 // build identical trees without communicating anything.
+//
+// Parallel build: a subtree's node count depends only on its box extents,
+// so it is known before the subtree is built. build() expands the top
+// kFrontierLevels levels serially, hands every internal node below them to
+// a task that starts allocating at its precomputed DFS id offset, and runs
+// the tasks on a pool — the ids come out exactly as the serial walk
+// allocates them. fill_planes() then folds each task's id range on its own
+// lane and the serial frontier last.
 
+#include <array>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <vector>
 
+#include "common/threadpool.h"
 #include "common/types.h"
 #include "speck/common.h"
 
@@ -61,14 +73,19 @@ inline int16_t plane_of(double m) {
 /// visit touches one cache line instead of three parallel arrays.
 class SetTree {
  public:
-  /// Build the structure for `dims`. Deterministic and data-independent.
-  void build(Dims dims);
+  /// Build the structure for `dims`. Deterministic and data-independent:
+  /// node for node the same tree with or without `pool`, whose lanes build
+  /// disjoint subtrees.
+  void build(Dims dims, TaskPool* pool = nullptr);
 
   /// Fill per-node max planes bottom-up from per-coefficient planes
-  /// (indexed by linear coefficient index). Requires build() first.
-  void fill_planes(const int16_t* coeff_planes);
+  /// (indexed by linear coefficient index). Requires build() first; splits
+  /// the work the way build() did.
+  void fill_planes(const int16_t* coeff_planes, TaskPool* pool = nullptr);
 
-  [[nodiscard]] size_t node_count() const { return nodes_.size(); }
+  [[nodiscard]] size_t node_count() const { return count_; }
+  /// Nodes at each depth (root = depth 0): a worklist bucket's capacity.
+  [[nodiscard]] const std::vector<size_t>& depth_counts() const { return depth_counts_; }
   [[nodiscard]] bool is_leaf(uint32_t id) const { return nodes_[id].nchild == 0; }
   [[nodiscard]] uint32_t first_child(uint32_t id) const { return nodes_[id].first; }
   [[nodiscard]] uint32_t child_count(uint32_t id) const { return nodes_[id].nchild; }
@@ -84,7 +101,33 @@ class SetTree {
   };
   static_assert(sizeof(Node) == 8);
 
-  std::vector<Node> nodes_;
+  /// An internal node whose descendants one lane builds: they take ids
+  /// [first, end), allocated in DFS order from `first`.
+  struct Task {
+    Box box;
+    uint32_t id;
+    uint32_t first;
+    uint32_t end;
+  };
+
+  /// Levels expanded serially before the rest is cut into tasks: up to 512
+  /// tasks for a cube, 8 for a thin line — enough for lanes that claim
+  /// tasks dynamically to balance their uneven sizes.
+  static constexpr int kFrontierLevels = 3;
+
+  /// Per-depth node counts by box extents (see settree.cpp).
+  using CountMemo = std::map<std::array<uint32_t, 3>, std::vector<size_t>>;
+
+  uint32_t split_frontier(const Box& b, uint32_t id, uint32_t next, int levels,
+                          CountMemo& memo);
+  void expand(const Task& t);
+
+  Dims dims_;
+  std::unique_ptr<Node[]> nodes_;  ///< every record is written by build()
+  size_t count_ = 0;
+  std::vector<size_t> depth_counts_;
+  std::vector<Task> tasks_;
+  std::vector<uint32_t> frontier_;  ///< ids allocated outside tasks, ascending
 };
 
 }  // namespace sperr::speck

@@ -9,11 +9,8 @@
 #include "sperr/chunker.h"
 #include "sperr/header.h"
 #include "sperr/pipeline.h"
+#include "sperr/recovery.h"
 #include "sperr/sperr.h"
-
-#ifdef SPERR_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 namespace sperr {
 
@@ -41,17 +38,17 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& 
   std::vector<pipeline::ChunkStream> streams(chunks.size());
   std::vector<double> means(chunks.size(), 0.0);
 
-  // Intra-chunk SPECK lanes (byte-identical output at any setting). An
-  // explicit count is honored as-is; auto (0) only expands on single-chunk
-  // inputs, where the OpenMP chunk loop cannot use the machine — combining
-  // auto with a parallel chunk loop would oversubscribe every core.
+  // The thread budget splits into a chunk team and per-chunk lanes
+  // (chunk_lanes; byte-identical output at any split): a single chunk gets
+  // every thread as lanes, and inputs with at least as many chunks as
+  // threads run one lane per chunk, so nothing oversubscribes.
+  const int threads = detail::thread_budget(cfg.num_threads);
   const int intra_threads =
-      cfg.intra_chunk_threads == 0 && chunks.size() > 1 ? 1
-                                                        : cfg.intra_chunk_threads;
+      chunk_lanes(threads, chunks.size(), cfg.intra_chunk_threads);
 
 #ifdef SPERR_HAVE_OPENMP
-  const int nt = cfg.num_threads > 0 ? cfg.num_threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic) num_threads(nt)
+#pragma omp parallel for schedule(dynamic) \
+    num_threads(chunk_team(threads, chunks.size()))
 #endif
   for (size_t i = 0; i < chunks.size(); ++i) {
     const Chunk& c = chunks[i];

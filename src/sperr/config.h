@@ -45,16 +45,18 @@ struct Config {
   /// Chunks need not divide the volume evenly nor be powers of two.
   Dims chunk_dims{256, 256, 256};
 
-  /// OpenMP threads for chunk-parallel execution; 0 = runtime default.
+  /// The call's thread budget: OpenMP threads for chunk-parallel execution
+  /// plus the lanes inside each chunk; 0 = runtime default.
   int num_threads = 0;
 
-  /// Threads used *inside* each chunk's SPECK coder (deterministic lane
-  /// parallelism: the stream is byte-identical at every setting). 1 =
-  /// serial (default — chunk-level parallelism already saturates machines
-  /// on multi-chunk inputs), 0 = one lane per hardware thread. Raise it for
-  /// single-chunk (or few-chunk) requests, which otherwise leave cores
-  /// idle.
-  int intra_chunk_threads = 1;
+  /// Lanes *inside* each chunk: the wavelet passes, the SPECK coder's
+  /// deterministic sweeps and the outlier comparison of one chunk share
+  /// them, and the stream is byte-identical at every setting. 0 (default)
+  /// applies chunk_lanes(): max(1, num_threads / chunks), so a single-chunk
+  /// input gets every thread of the budget while inputs with at least as
+  /// many chunks as threads stay one lane per chunk. Any other value is
+  /// used as-is for every chunk.
+  int intra_chunk_threads = 0;
 
   /// Apply the final lossless pass (paper §V uses ZSTD; we use the built-in
   /// LZ77+Huffman codec). Disable to inspect raw coder output.
@@ -68,6 +70,22 @@ struct Config {
   /// everywhere.
   size_t lossless_block_size = size_t(1) << 20;
 };
+
+/// The one rule for splitting a call's thread budget: chunks run on a team
+/// of min(threads, chunks), and each chunk gets max(1, threads / chunks)
+/// lanes, so team * lanes never exceeds the budget. `intra` (a
+/// Config::intra_chunk_threads value) overrides the lanes when non-zero.
+inline int chunk_lanes(int threads, size_t chunks, int intra = 0) {
+  if (intra != 0) return intra;
+  if (chunks == 0 || threads <= 0) return 1;
+  return size_t(threads) > chunks ? int(size_t(threads) / chunks) : 1;
+}
+
+/// The chunk loop's team under the same rule: min(threads, chunks), at least 1.
+inline int chunk_team(int threads, size_t chunks) {
+  if (threads < 1 || chunks == 0) return 1;
+  return size_t(threads) < chunks ? threads : int(chunks);
+}
 
 /// Wall-clock seconds per pipeline stage (paper Fig. 6), summed over chunks
 /// (i.e. total work, not elapsed time, when running multi-threaded), plus

@@ -9,10 +9,6 @@
 #include "sperr/recovery.h"
 #include "sperr/sperr.h"
 
-#ifdef SPERR_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 namespace sperr {
 
 Status decompress(const uint8_t* stream, size_t nbytes, std::vector<double>& out,
@@ -96,10 +92,12 @@ Status decompress(const uint8_t* stream, size_t nbytes, std::vector<float>& out,
   out.assign(dims.total(), 0.0f);
   rep.chunks.resize(oc.chunks.size());
 
-  const int intra_threads = oc.chunks.size() == 1 ? 0 : 1;
+  const int threads = detail::thread_budget(0);
+  const int intra_threads = chunk_lanes(threads, oc.chunks.size());
 
 #ifdef SPERR_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic)
+#pragma omp parallel for schedule(dynamic) \
+    num_threads(chunk_team(threads, oc.chunks.size()))
 #endif
   for (size_t i = 0; i < oc.chunks.size(); ++i) {
     Arena& arena = tls_arena();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/threadpool.h"
 #include "common/timer.h"
 #include "outlier/coder.h"
 #include "speck/decoder.h"
@@ -21,12 +22,14 @@ ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
   Arena& a = arena ? *arena : tls_arena();
   Arena::Scope scope(a);
   result.timing.bytes = uint64_t(n) * sizeof(double);
+  // One set of lanes for every stage of this chunk.
+  const std::unique_ptr<TaskPool> pool = make_pool(intra_chunk_threads);
 
   // Stage 1: forward wavelet transform.
   Timer timer;
   double* coeffs = a.alloc<double>(n);
   std::copy(data, data + n, coeffs);
-  wavelet::forward_dwt(coeffs, dims, wavelet::Kernel::cdf97, &a);
+  wavelet::forward_dwt(coeffs, dims, wavelet::Kernel::cdf97, &a, pool.get());
   result.timing.transform_s = timer.seconds();
 
   // Stage 2: SPECK-code all bitplanes down to the quantization step q. The
@@ -35,18 +38,24 @@ ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
   timer.reset();
   std::vector<double> recon;
   result.speck = speck::encode(coeffs, dims, q, 0, &result.speck_stats, &recon,
-                               intra_chunk_threads);
+                               1, pool.get());
   result.timing.speck_s = timer.seconds();
 
   // Stage 3: locate outliers — inverse transform plus a comparison with the
-  // original input (paper §V-C stage 3).
+  // original input (paper §V-C stage 3). Lanes compare contiguous ranges;
+  // their finds concatenate in lane order, i.e. in position order.
   timer.reset();
-  wavelet::inverse_dwt(recon.data(), dims, wavelet::Kernel::cdf97, &a);
-  std::vector<outlier::Outlier> outliers;
-  for (size_t i = 0; i < n; ++i) {
-    const double err = data[i] - recon[i];
-    if (std::fabs(err) > tolerance) outliers.push_back({i, err});
-  }
+  wavelet::inverse_dwt(recon.data(), dims, wavelet::Kernel::cdf97, &a, pool.get());
+  std::vector<std::vector<outlier::Outlier>> found(size_t(lane_count(pool.get())));
+  for_lane_ranges(pool.get(), n, [&](size_t b, size_t e, int lane) {
+    for (size_t i = b; i < e; ++i) {
+      const double err = data[i] - recon[i];
+      if (std::fabs(err) > tolerance) found[size_t(lane)].push_back({i, err});
+    }
+  });
+  std::vector<outlier::Outlier> outliers = std::move(found[0]);
+  for (size_t l = 1; l < found.size(); ++l)
+    outliers.insert(outliers.end(), found[l].begin(), found[l].end());
   result.timing.locate_s = timer.seconds();
   if (capture_outliers) *capture_outliers = outliers;
 
@@ -94,11 +103,12 @@ ChunkStream encode_target_rmse(const double* data, Dims dims, double rmse_target
   Arena& a = arena ? *arena : tls_arena();
   Arena::Scope scope(a);
   result.timing.bytes = uint64_t(n) * sizeof(double);
+  const std::unique_ptr<TaskPool> pool = make_pool(intra_chunk_threads);
 
   Timer timer;
   double* coeffs = a.alloc<double>(n);
   std::copy(data, data + n, coeffs);
-  wavelet::forward_dwt(coeffs, dims, wavelet::Kernel::cdf97, &a);
+  wavelet::forward_dwt(coeffs, dims, wavelet::Kernel::cdf97, &a, pool.get());
   result.timing.transform_s = timer.seconds();
 
   // Unit-norm near-orthogonal basis: coefficient-domain RMSE ~ output RMSE
@@ -109,7 +119,7 @@ ChunkStream encode_target_rmse(const double* data, Dims dims, double rmse_target
 
   timer.reset();
   result.speck = speck::encode(coeffs, dims, q, 0, &result.speck_stats, nullptr,
-                               intra_chunk_threads);
+                               1, pool.get());
   result.timing.speck_s = timer.seconds();
   return result;
 }
@@ -153,10 +163,11 @@ Status decode(const uint8_t* speck_stream, size_t speck_len,
               double* out, Arena* arena, int intra_chunk_threads) {
   Arena& a = arena ? *arena : tls_arena();
   Arena::Scope scope(a);
+  const std::unique_ptr<TaskPool> pool = make_pool(intra_chunk_threads);
   const Status s =
-      speck::decode(speck_stream, speck_len, dims, out, nullptr, intra_chunk_threads);
+      speck::decode(speck_stream, speck_len, dims, out, nullptr, 1, pool.get());
   if (s != Status::ok) return s;
-  wavelet::inverse_dwt(out, dims, wavelet::Kernel::cdf97, &a);
+  wavelet::inverse_dwt(out, dims, wavelet::Kernel::cdf97, &a, pool.get());
 
   if (outlier_len != 0) {
     std::vector<outlier::Outlier> outliers;

@@ -41,10 +41,12 @@ struct ChunkStream {
 /// (the calling thread's arena is used). The arena is rewound, not reset:
 /// allocations the caller made before the call survive.
 ///
-/// `intra_chunk_threads` is forwarded to the SPECK coder's deterministic
-/// lane-parallel mode (Config::intra_chunk_threads): the emitted streams
-/// are byte-identical at every setting, so it is purely a wall-clock knob
-/// for single-chunk (or few-chunk) requests. 1 = serial, 0 = auto.
+/// `intra_chunk_threads` is the chunk's lane count (1 = serial, 0 = one per
+/// hardware thread). One pool of that many lanes runs every stage of the
+/// chunk — the wavelet passes, the SPECK coder's deterministic sweeps and
+/// the outlier comparison — and the emitted streams are byte-identical at
+/// every setting, so it is purely a wall-clock knob. The chunked drivers
+/// pick it with chunk_lanes() (sperr/config.h).
 ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
                        double q_over_t,
                        std::vector<outlier::Outlier>* capture_outliers = nullptr,

@@ -12,6 +12,7 @@
 #include "common/arena.h"
 #include "common/byteio.h"
 #include "common/checksum.h"
+#include "common/threadpool.h"
 #include "common/timer.h"
 #include "sperr/chunker.h"
 #include "sperr/header.h"
@@ -118,6 +119,15 @@ Status open_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
     pos = sl.intact ? pos + size_t(want) : oc.inner.size();
   }
   return Status::ok;
+}
+
+int thread_budget(int requested) {
+  if (requested > 0) return requested;
+#ifdef SPERR_HAVE_OPENMP
+  return omp_in_parallel() ? 1 : omp_get_max_threads();
+#else
+  return resolve_thread_count(0);
+#endif
 }
 
 ChunkReport audit_chunk(const OpenedContainer& oc, size_t i) {
@@ -243,14 +253,15 @@ Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy
   out.assign(dims.total(), 0.0);
   rep.chunks.resize(oc.chunks.size());
 
-  // Single-chunk containers cannot use the chunk-parallel loop below, so
-  // let the SPECK decoder's intra-chunk lanes (0 = auto) use the machine
-  // instead. The decode is identical at every lane count, so this is a
+  // The thread budget splits into a chunk team and per-chunk lanes
+  // (chunk_lanes); the decode is identical at every split, so this is a
   // pure wall-clock decision.
-  const int intra_threads = oc.chunks.size() == 1 ? 0 : 1;
+  const int threads = detail::thread_budget(0);
+  const int intra_threads = chunk_lanes(threads, oc.chunks.size());
 
 #ifdef SPERR_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic)
+#pragma omp parallel for schedule(dynamic) \
+    num_threads(chunk_team(threads, oc.chunks.size()))
 #endif
   for (size_t i = 0; i < oc.chunks.size(); ++i) {
     Arena& arena = tls_arena();

@@ -61,4 +61,10 @@ ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
 /// Checksum/extent audit of chunk `i` without decoding (verify_container).
 ChunkReport audit_chunk(const OpenedContainer& oc, size_t i);
 
+/// The thread budget of one compress / decompress call, which chunk_team()
+/// and chunk_lanes() (sperr/config.h) split: `requested` when > 0, else
+/// the OpenMP default (one thread per hardware thread without OpenMP), and
+/// 1 for a call made from inside an OpenMP parallel region.
+int thread_budget(int requested);
+
 }  // namespace sperr::detail

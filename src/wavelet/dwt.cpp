@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/threadpool.h"
 #include "wavelet/cdf97.h"
 
 namespace sperr::wavelet {
@@ -33,18 +34,21 @@ AxisPass pass_z(Dims dims, Dims box) {
   return {box.z, dims.x * dims.y, box.x, box.y, 1, dims.x};
 }
 
-// Run `fn(tile, n, nb, scratch)` over every line batch of the pass. The
-// tile and its scratch live in the arena and are released on return.
+// Run `fn(tile, n, nb, scratch)` over line batches [b0, b1) of the pass
+// (batch k holds lines [k * kLineBatch, (k + 1) * kLineBatch)). The tile
+// and its scratch live in the arena and are released on return.
 template <class BatchFn>
-void blocked_pass(double* data, const AxisPass& p, Arena& arena, BatchFn fn) {
+void blocked_pass(double* data, const AxisPass& p, Arena& arena, BatchFn fn,
+                  size_t b0 = 0, size_t b1 = SIZE_MAX / kLineBatch) {
   if (p.n < 2) return;  // the kernels are no-ops on such lines
   Arena::Scope scope(arena);
   double* tile = arena.alloc<double>(p.n * kLineBatch);
   double* scratch = arena.alloc<double>(p.n * kLineBatch);
 
   const size_t nlines = p.n_u * p.n_v;
+  const size_t end = std::min(nlines, b1 * kLineBatch);
   size_t base[kLineBatch];
-  for (size_t l0 = 0; l0 < nlines; l0 += kLineBatch) {
+  for (size_t l0 = b0 * kLineBatch; l0 < end; l0 += kLineBatch) {
     const size_t nb = std::min(kLineBatch, nlines - l0);
     const size_t u0 = l0 % p.n_u;
     const size_t v0 = l0 / p.n_u;
@@ -136,27 +140,50 @@ void transform_z(double* data, Dims dims, Dims box, Fn fn) {
     }
 }
 
+// Intra-chunk lanes: every line is transformed independently, so lanes
+// split a pass's lines between them and the output is bit-identical at any
+// lane count. Lane 0 runs on the calling thread and takes its tiles from
+// the caller's arena; the pool's other lanes use their own threads' arenas.
+Arena& lane_arena(Arena& caller, int lane) { return lane == 0 ? caller : tls_arena(); }
+
+/// Line batches a lane claims at a time in a parallel Z pass.
+constexpr size_t kBatchesPerClaim = 4;
+
+template <class BatchFn>
+void blocked_pass_z(double* data, Dims dims, Dims box, Arena& arena,
+                    TaskPool* pool, BatchFn fn) {
+  const AxisPass p = pass_z(dims, box);
+  const size_t nbatches = (p.n_u * p.n_v + kLineBatch - 1) / kLineBatch;
+  const size_t nclaims = (nbatches + kBatchesPerClaim - 1) / kBatchesPerClaim;
+  for_each_claimed(pool, nclaims, [&](size_t c, int lane) {
+    blocked_pass(data, p, lane_arena(arena, lane), fn, c * kBatchesPerClaim,
+                 std::min(nbatches, (c + 1) * kBatchesPerClaim));
+  });
+}
+
 // X and Y passes only couple samples within one z-plane, so they can be
 // fused plane-by-plane: transform a plane's x lines, then its y lines (or
 // the reverse for synthesis) while the plane (512 KiB at 256²) is still
 // cache-resident, instead of streaming the whole box from memory once per
 // axis. The per-line arithmetic is unchanged — output stays bit-identical.
+// Planes are independent, so lanes claim them one at a time.
 template <class BatchFn>
 void blocked_pass_xy(double* data, Dims dims, Dims box, bool do_x, bool do_y,
-                     bool x_first, Arena& arena, BatchFn fn) {
+                     bool x_first, Arena& arena, TaskPool* pool, BatchFn fn) {
   const size_t plane_elems = dims.x * dims.y;
   const AxisPass px{box.x, 1, box.y, 1, dims.x, 0};
   const AxisPass py{box.y, dims.x, box.x, 1, 1, 0};
-  for (size_t z = 0; z < box.z; ++z) {
+  for_each_claimed(pool, box.z, [&](size_t z, int lane) {
+    Arena& a = lane_arena(arena, lane);
     double* plane = data + z * plane_elems;
     if (x_first) {
-      if (do_x) blocked_pass(plane, px, arena, fn);
-      if (do_y) blocked_pass(plane, py, arena, fn);
+      if (do_x) blocked_pass(plane, px, a, fn);
+      if (do_y) blocked_pass(plane, py, a, fn);
     } else {
-      if (do_y) blocked_pass(plane, py, arena, fn);
-      if (do_x) blocked_pass(plane, px, arena, fn);
+      if (do_y) blocked_pass(plane, py, a, fn);
+      if (do_x) blocked_pass(plane, px, a, fn);
     }
-  }
+  });
 }
 
 }  // namespace
@@ -182,7 +209,8 @@ std::vector<Dims> lowpass_boxes(Dims dims) {
   return boxes;
 }
 
-void forward_dwt(double* data, Dims dims, Kernel kernel, Arena* arena) {
+void forward_dwt(double* data, Dims dims, Kernel kernel, Arena* arena,
+                 TaskPool* pool) {
   Arena& a = arena ? *arena : tls_arena();
   const LevelPlan plan = plan_levels(dims);
   const auto boxes = lowpass_boxes(dims);
@@ -193,14 +221,15 @@ void forward_dwt(double* data, Dims dims, Kernel kernel, Arena* arena) {
     const Dims box = boxes[l];
     const bool dx = l < plan.lx, dy = l < plan.ly;
     if (dx || dy)
-      blocked_pass_xy(data, dims, box, dx, dy, /*x_first=*/true, a, analysis);
-    if (l < plan.lz) blocked_pass(data, pass_z(dims, box), a, analysis);
+      blocked_pass_xy(data, dims, box, dx, dy, /*x_first=*/true, a, pool, analysis);
+    if (l < plan.lz) blocked_pass_z(data, dims, box, a, pool, analysis);
   }
 }
 
-void inverse_dwt(double* data, Dims dims, Kernel kernel, Arena* arena) {
+void inverse_dwt(double* data, Dims dims, Kernel kernel, Arena* arena,
+                 TaskPool* pool) {
   if (kernel == Kernel::cdf97) {
-    inverse_dwt_partial(data, dims, 0, arena);
+    inverse_dwt_partial(data, dims, 0, arena, pool);
     return;
   }
   Arena& a = arena ? *arena : tls_arena();
@@ -211,25 +240,26 @@ void inverse_dwt(double* data, Dims dims, Kernel kernel, Arena* arena) {
   };
   for (size_t l = boxes.size(); l-- > 0;) {
     const Dims box = boxes[l];
-    if (l < plan.lz) blocked_pass(data, pass_z(dims, box), a, synthesis);
+    if (l < plan.lz) blocked_pass_z(data, dims, box, a, pool, synthesis);
     const bool dx = l < plan.lx, dy = l < plan.ly;
     if (dx || dy)
-      blocked_pass_xy(data, dims, box, dx, dy, /*x_first=*/false, a, synthesis);
+      blocked_pass_xy(data, dims, box, dx, dy, /*x_first=*/false, a, pool, synthesis);
   }
 }
 
 void inverse_dwt_partial(double* data, Dims dims, size_t keep_levels,
-                         Arena* arena) {
+                         Arena* arena, TaskPool* pool) {
   Arena& a = arena ? *arena : tls_arena();
   const LevelPlan plan = plan_levels(dims);
   const auto boxes = lowpass_boxes(dims);
   for (size_t l = boxes.size(); l-- > keep_levels;) {
     const Dims box = boxes[l];
     // Synthesis undoes axes in the reverse order of analysis.
-    if (l < plan.lz) blocked_pass(data, pass_z(dims, box), a, cdf97_synthesis_batch);
+    if (l < plan.lz)
+      blocked_pass_z(data, dims, box, a, pool, cdf97_synthesis_batch);
     const bool dx = l < plan.lx, dy = l < plan.ly;
     if (dx || dy)
-      blocked_pass_xy(data, dims, box, dx, dy, /*x_first=*/false, a,
+      blocked_pass_xy(data, dims, box, dx, dy, /*x_first=*/false, a, pool,
                       cdf97_synthesis_batch);
   }
 }

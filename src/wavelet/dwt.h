@@ -22,6 +22,10 @@
 #include "common/types.h"
 #include "wavelet/kernels.h"
 
+namespace sperr {
+class TaskPool;
+}
+
 namespace sperr::wavelet {
 
 /// Lines per SoA tile in the blocked drivers: 32 lanes of doubles = 4
@@ -45,12 +49,17 @@ LevelPlan plan_levels(Dims dims);
 /// when given (rewound to its entry state on return), else from the calling
 /// thread's tls_arena() — either way, repeated transforms of equal-size
 /// grids perform no heap allocation after the first call.
+///
+/// `pool`, when non-null, splits every pass's lines across its lanes (the
+/// XY passes by z-plane, the Z passes by line batch; the pool's worker
+/// lanes take their tiles from their own threads' arenas). Lines transform
+/// independently, so the output is bit-identical at any lane count.
 void forward_dwt(double* data, Dims dims, Kernel kernel = Kernel::cdf97,
-                 Arena* arena = nullptr);
+                 Arena* arena = nullptr, TaskPool* pool = nullptr);
 
 /// Inverse of forward_dwt.
 void inverse_dwt(double* data, Dims dims, Kernel kernel = Kernel::cdf97,
-                 Arena* arena = nullptr);
+                 Arena* arena = nullptr, TaskPool* pool = nullptr);
 
 /// Partial inverse: undo only the levels >= keep_levels, leaving the array
 /// as if the forward transform had stopped after `keep_levels` levels. With
@@ -58,7 +67,7 @@ void inverse_dwt(double* data, Dims dims, Kernel kernel = Kernel::cdf97,
 /// reconstruction (paper §VII): the low-pass box of the remaining hierarchy
 /// is a coarsened version of the data.
 void inverse_dwt_partial(double* data, Dims dims, size_t keep_levels,
-                         Arena* arena = nullptr);
+                         Arena* arena = nullptr, TaskPool* pool = nullptr);
 
 /// Unblocked per-line reference drivers: the original element-at-a-time
 /// implementation, kept as the equivalence oracle for the blocked path and

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/threadpool.h"
 #include "wavelet/dwt.h"
 
 namespace sperr::wavelet {
@@ -48,6 +49,33 @@ TEST_P(BlockedEquivalence, ForwardAndInverseBitIdenticalAllKernels) {
     inverse_dwt_reference(reference.data(), dims, k);
     EXPECT_TRUE(bit_equal(blocked, reference))
         << "inverse, dims " << dims.to_string() << ", kernel " << to_string(k);
+  }
+}
+
+TEST_P(BlockedEquivalence, LanesAreBitIdenticalToSerial) {
+  // Lanes split the XY passes by z-plane and the Z passes by line batch;
+  // every line still runs the same kernel, so the transform is the serial
+  // one bit for bit at any lane count — forward, inverse and partial.
+  const auto [x, y, z] = GetParam();
+  const Dims dims{x, y, z};
+  const auto orig = random_field(dims, 71 + x + 1000 * y + 1000000 * z);
+  auto serial = orig;
+  forward_dwt(serial.data(), dims);
+  auto serial_partial = serial;
+  inverse_dwt_partial(serial_partial.data(), dims, 1);
+  auto serial_inv = serial;
+  inverse_dwt(serial_inv.data(), dims);
+  for (const int lanes : {1, 2, 3, 4}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    TaskPool pool(lanes);
+    auto f = orig;
+    forward_dwt(f.data(), dims, Kernel::cdf97, nullptr, &pool);
+    EXPECT_TRUE(bit_equal(f, serial)) << "forward";
+    auto p = f;
+    inverse_dwt_partial(p.data(), dims, 1, nullptr, &pool);
+    EXPECT_TRUE(bit_equal(p, serial_partial)) << "partial inverse";
+    inverse_dwt(f.data(), dims, Kernel::cdf97, nullptr, &pool);
+    EXPECT_TRUE(bit_equal(f, serial_inv)) << "inverse";
   }
 }
 

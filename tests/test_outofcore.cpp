@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -18,11 +20,46 @@
 namespace sperr::outofcore {
 namespace {
 
+/// This process's private scratch directory, made once by mkdtemp with the
+/// pid in its name. ctest runs every test case in its own process, so a
+/// per-process counter alone would hand concurrent cases the same paths.
+/// Removed at exit by the process that made it (forked children _exit).
+class ProcessTempDir {
+ public:
+  ProcessTempDir() {
+    std::string tmpl =
+        testing::TempDir() + "sperr_ooc_" + std::to_string(::getpid()) + "_XXXXXX";
+    if (::mkdtemp(tmpl.data()) == nullptr) {
+      std::perror("mkdtemp");
+      std::abort();
+    }
+    path_ = tmpl + "/";
+  }
+  ~ProcessTempDir() {
+    if (::getpid() == owner_) {
+      std::error_code ec;
+      std::filesystem::remove_all(path_, ec);
+    }
+  }
+  ProcessTempDir(const ProcessTempDir&) = delete;
+  ProcessTempDir& operator=(const ProcessTempDir&) = delete;
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  pid_t owner_ = ::getpid();
+  std::string path_;
+};
+
+const std::string& process_temp_dir() {
+  static const ProcessTempDir dir;
+  return dir.path();
+}
+
 class TempFile {
  public:
   explicit TempFile(const std::string& suffix) {
     static int counter = 0;
-    path_ = testing::TempDir() + "sperr_ooc_" + std::to_string(counter++) + suffix;
+    path_ = process_temp_dir() + "f" + std::to_string(counter++) + suffix;
   }
   ~TempFile() { std::remove(path_.c_str()); }
   [[nodiscard]] const std::string& path() const { return path_; }

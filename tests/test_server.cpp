@@ -682,8 +682,17 @@ TEST(ServerHardened, DisconnectWhileReplyInFlightDoesNotCrash) {
   std::vector<uint8_t> reply;
   ASSERT_TRUE(roundtrip(good.fd, Opcode::verify, 40, w.container, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));
+  // The gauge settles once the server has reaped the dropped connections
+  // (docs/PROTOCOL.md), which can trail the failed reply writes: poll it
+  // under a deadline instead of reading it once.
   StatsSnapshot snap;
-  ASSERT_TRUE(fetch_stats(good.fd, 41, snap));
+  uint64_t id = 41;
+  const sperr::Timer waited;
+  do {
+    ASSERT_TRUE(fetch_stats(good.fd, id++, snap));
+    if (snap.active_connections == 1u) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  } while (waited.seconds() < 10.0);
   EXPECT_EQ(snap.active_connections, 1u);
   srv.stop();
 }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/threadpool.h"
 #include "speck/common.h"
 #include "speck/decoder.h"
 #include "speck/encoder.h"
@@ -61,10 +62,11 @@ void expect_decode_stats_equal(const DecodeStats& a, const DecodeStats& b) {
 }
 
 /// The thread counts every case in the differential wall is held to. 1 is
-/// the serial sweep engine; 2/4/8 exercise lane partitioning, including
-/// more lanes than this machine has cores (correctness must not depend on
-/// real concurrency).
-constexpr int kThreadWall[] = {1, 2, 4, 8};
+/// the serial sweep engine; 2/3/4/8 exercise the sliced sweeps, the slice
+/// merge, the discovery-time recon/error-term tail and the parallel tree
+/// build — an odd lane count included, and more lanes than a small machine
+/// has cores (correctness must not depend on real concurrency).
+constexpr int kThreadWall[] = {1, 2, 3, 4, 8};
 
 /// Full differential check of one (dims, q, budget, seed) cell, at every
 /// thread count in kThreadWall: the encoded stream must be byte-identical
@@ -348,6 +350,72 @@ TEST(SpeckFast, PerPassBitCountsPartitionThePayload) {
     for (size_t i = 0; i < ts.passes.size(); ++i) {
       EXPECT_EQ(ts.passes[i].sorting_bits, st.passes[i].sorting_bits);
       EXPECT_EQ(ts.passes[i].refinement_bits, st.passes[i].refinement_bits);
+    }
+  }
+}
+
+TEST(SpeckFast, LargeBucketSlicesMatchReference) {
+  // Buckets of thousands of entries, so every lane count cuts them into
+  // many slices claimed out of order, and the merges carry long arrival,
+  // refinement and error-term runs.
+  expect_coders_identical({45, 37, 29}, 0.05, 0, 77);
+  expect_coders_identical({128, 96, 1}, 0.5, 0, 78);
+}
+
+TEST(SpeckFast, EncoderOnCallerPoolMatchesOwnLanes) {
+  // A caller-supplied pool (how the pipeline shares one set of lanes across
+  // a chunk's stages) is the same encode as lanes the coder makes itself.
+  const Dims dims{33, 29, 17};
+  const double q = 0.25;
+  const auto coeffs = adversarial_coeffs(dims, 91, q);
+  EncodeStats own_stats, shared_stats;
+  std::vector<double> own_recon, shared_recon;
+  const auto own = encode(coeffs.data(), dims, q, 0, &own_stats, &own_recon, 1);
+  TaskPool pool(3);
+  const auto shared =
+      encode(coeffs.data(), dims, q, 0, &shared_stats, &shared_recon, 1, &pool);
+  EXPECT_EQ(shared, own);
+  expect_stats_equal(shared_stats, own_stats);
+  EXPECT_EQ(shared_stats.threads_used, 3);
+  EXPECT_EQ(shared_recon, own_recon);
+  std::vector<double> a(dims.total()), b(dims.total());
+  ASSERT_EQ(decode(own.data(), own.size(), dims, a.data()), Status::ok);
+  ASSERT_EQ(decode(own.data(), own.size(), dims, b.data(), nullptr, 1, &pool),
+            Status::ok);
+  EXPECT_EQ(a, b);
+}
+
+TEST(SpeckFast, ParallelSetTreeBuildMatchesSerialNodeForNode) {
+  // The lanes build subtrees at precomputed DFS offsets; the tree must be
+  // the serial walk's, record for record, on cubes, odd extents, slabs and
+  // thin lines (whose frontier has few, very unequal tasks) — and so must
+  // the plane fill that follows the same split.
+  const Dims shapes[] = {{1, 1, 1},   {2, 1, 1},  {1, 1, 300}, {7, 5, 3},
+                         {33, 17, 1}, {1, 9, 2},  {16, 16, 16}, {65, 33, 17},
+                         {3, 257, 1}, {40, 25, 7}};
+  for (const Dims dims : shapes) {
+    SCOPED_TRACE(dims.to_string());
+    std::vector<int16_t> planes(dims.total());
+    for (size_t i = 0; i < planes.size(); ++i) planes[i] = int16_t((i * 7919) % 13 - 1);
+    SetTree serial;
+    serial.build(dims);
+    serial.fill_planes(planes.data());
+    for (const int lanes : {2, 3, 4}) {
+      SCOPED_TRACE("lanes=" + std::to_string(lanes));
+      TaskPool pool(lanes);
+      SetTree par;
+      par.build(dims, &pool);
+      par.fill_planes(planes.data(), &pool);
+      ASSERT_EQ(par.node_count(), serial.node_count());
+      EXPECT_EQ(par.depth_counts(), serial.depth_counts());
+      size_t per_depth_total = 0;
+      for (const size_t c : par.depth_counts()) per_depth_total += c;
+      EXPECT_EQ(per_depth_total, par.node_count());
+      for (uint32_t id = 0; id < serial.node_count(); ++id) {
+        ASSERT_EQ(par.child_count(id), serial.child_count(id)) << "node " << id;
+        ASSERT_EQ(par.first_child(id), serial.first_child(id)) << "node " << id;
+        ASSERT_EQ(par.plane(id), serial.plane(id)) << "node " << id;
+      }
     }
   }
 }

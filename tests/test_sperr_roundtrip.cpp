@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "data/synthetic.h"
+#include "sperr/recovery.h"
 
 namespace sperr {
 namespace {
@@ -54,6 +55,70 @@ TEST(SperrRoundTrip, PweGuaranteeWithChunking) {
   Dims out_dims;
   ASSERT_EQ(decompress(blob.data(), blob.size(), recon, out_dims), Status::ok);
   EXPECT_LE(max_abs_err(field, recon), cfg.tolerance);
+}
+
+TEST(ThreadRule, LanesAndTeamSplitTheBudget) {
+  // team * lanes never exceeds the budget, and one chunk takes it all.
+  EXPECT_EQ(chunk_lanes(4, 1), 4);
+  EXPECT_EQ(chunk_lanes(4, 2), 2);
+  EXPECT_EQ(chunk_lanes(4, 3), 1);
+  EXPECT_EQ(chunk_lanes(4, 8), 1);
+  EXPECT_EQ(chunk_lanes(8, 3), 2);
+  EXPECT_EQ(chunk_lanes(1, 1), 1);
+  EXPECT_EQ(chunk_lanes(4, 1, 3), 3);  // an explicit intra value is honored
+  EXPECT_EQ(chunk_team(4, 1), 1);
+  EXPECT_EQ(chunk_team(4, 2), 2);
+  EXPECT_EQ(chunk_team(4, 8), 4);
+  EXPECT_EQ(chunk_team(0, 8), 1);
+  for (const int t : {1, 2, 3, 4, 8})
+    for (const size_t c : {size_t(1), size_t(2), size_t(3), size_t(8)})
+      EXPECT_LE(chunk_team(t, c) * chunk_lanes(t, c), t) << t << " threads, " << c;
+}
+
+TEST(SperrRoundTrip, ContainerIdenticalAcrossThreadsAndChunks) {
+  // Whatever the budget's split into a chunk team and per-chunk lanes, the
+  // container is the same bytes, and its chunks decode bit-identically at
+  // any lane count.
+  const Dims dims{48, 40, 36};
+  const auto field = data::miranda_pressure(dims);
+  const double t = tolerance_from_idx(field.data(), field.size(), 14);
+  const Dims chunkings[] = {{48, 40, 36}, {48, 40, 18}, {24, 20, 18}};  // 1, 2, 8
+  for (const Dims chunk : chunkings) {
+    SCOPED_TRACE("chunk " + chunk.to_string());
+    Config cfg;
+    cfg.tolerance = t;
+    cfg.chunk_dims = chunk;
+    std::vector<uint8_t> first;
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      cfg.num_threads = threads;
+      const auto blob = compress(field.data(), dims, cfg);
+      if (first.empty()) first = blob;
+      ASSERT_EQ(blob, first) << "container bytes depend on the thread budget";
+    }
+
+    std::vector<double> recon;
+    Dims out_dims;
+    ASSERT_EQ(decompress(first.data(), first.size(), recon, out_dims), Status::ok);
+    EXPECT_LE(max_abs_err(field, recon), t);
+    detail::OpenedContainer oc;
+    ASSERT_EQ(detail::open_tolerant(first.data(), first.size(), Recovery::fail_fast,
+                                    oc, nullptr),
+              Status::ok);
+    for (size_t i = 0; i < oc.chunks.size(); ++i) {
+      std::vector<double> serial(oc.chunks[i].dims.total());
+      ASSERT_FALSE(detail::decode_chunk(oc, i, Recovery::fail_fast, serial.data(),
+                                        nullptr, 1)
+                       .damaged());
+      for (const int lanes : {2, 4}) {
+        std::vector<double> par(serial.size());
+        ASSERT_FALSE(detail::decode_chunk(oc, i, Recovery::fail_fast, par.data(),
+                                          nullptr, lanes)
+                         .damaged());
+        ASSERT_EQ(par, serial) << "chunk " << i << " at " << lanes << " lanes";
+      }
+    }
+  }
 }
 
 TEST(SperrRoundTrip, TwoDimensionalSlice) {

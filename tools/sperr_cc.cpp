@@ -54,7 +54,13 @@ constexpr int kExitResource = 5;
                "           [--intra-threads N] [--no-lossless] [--verify]\n"
                "  sperr_cc d IN.sperr OUT.raw [--type f32|f64] [--drop L]\n"
                "           [--recover fail-fast|zero|coarse] [--max-output-mb M]\n"
-               "  sperr_cc info IN.sperr [--verify] [--max-output-mb M]\n");
+               "  sperr_cc info IN.sperr [--verify] [--max-output-mb M]\n"
+               "\n"
+               "  --threads N        thread budget of a compress (default 0 = OpenMP\n"
+               "                     default)\n"
+               "  --intra-threads N  lanes inside each chunk (default 0 = threads /\n"
+               "                     chunks, at least 1); the output is byte-identical\n"
+               "                     at every setting\n");
   std::exit(kExitUsage);
 }
 
@@ -84,7 +90,7 @@ struct Args {
   int idx = -1;
   sperr::Dims chunk{256, 256, 256};
   int threads = 0;
-  int intra_threads = 1;  ///< SPECK lanes per chunk (byte-identical output)
+  int intra_threads = 0;  ///< lanes per chunk, 0 = threads / chunks (byte-identical output)
   bool lossless = true;
   bool verify = false;
   size_t drop = 0;

@@ -44,7 +44,8 @@ namespace {
                "  --workers N          request-processing lanes (default 0 = one per core)\n"
                "  --queue-depth Q      bounded-queue high-water mark (default 64)\n"
                "  --request-threads N  OpenMP chunk threads inside one request (default 1)\n"
-               "  --intra-threads N    deterministic SPECK lanes per chunk (default 1)\n"
+               "  --intra-threads N    lanes inside each chunk (default 0 = request\n"
+               "                       threads / chunks, at least 1)\n"
                "  --max-body-mb M      reject frames with bodies over M MiB (default 1024)\n"
                "  --max-conns N        concurrent connection cap; past it new\n"
                "                       connections get one BUSY and are closed\n"
