@@ -19,10 +19,10 @@
 #include "common/rng.h"
 #include "lossless/codec.h"
 #include "metrics/metrics.h"
+#include "oracles/raw_bitplane.h"
 #include "outlier/coder.h"
 #include "speck/decoder.h"
 #include "speck/encoder.h"
-#include "speck/raw_bitplane.h"
 #include "sperr/pipeline.h"
 #include "sperr/sperr.h"
 #include "support.h"

@@ -32,6 +32,8 @@
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "lossless/codec.h"
+#include "oracles/dwt_reference.h"
+#include "oracles/speck_reference.h"
 #include "outlier/coder.h"
 #include "speck/decoder.h"
 #include "speck/encoder.h"

@@ -45,6 +45,14 @@ inline int split_box(const Box& b, Box out[8]) {
   return n;
 }
 
+/// Grids of this many coefficients or more are rejected by speck::encode
+/// (std::invalid_argument) and speck::decode (Status::invalid_argument): the
+/// set tree addresses nodes and coefficients with uint32 ids, and the
+/// decoder packs a coefficient's sign into bit 31 of its index. The SPERR
+/// layer applies the same limit to chunk extents, at Config validation and
+/// when opening a container.
+inline constexpr size_t kCoefficientLimit = size_t(1) << 31;
+
 /// Maximum split depth a grid can reach (buckets for the LIS).
 inline uint32_t max_depth(Dims dims) {
   uint32_t m = 1;

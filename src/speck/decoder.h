@@ -24,7 +24,10 @@ struct DecodeStats {
 };
 
 /// Decode a stream produced by speck::encode into `coeffs` (dims.total()
-/// doubles, fully overwritten; dead-zone coefficients become 0).
+/// doubles, fully overwritten; dead-zone coefficients become 0). Any header
+/// n_max decodes, including the > 50-plane streams of older encoders.
+/// Grids of kCoefficientLimit (2^31) coefficients or more return
+/// Status::invalid_argument before anything is allocated.
 ///
 /// `threads` parallelizes the data-parallel parts of the decode — the
 /// set-tree build, the refinement-pass value updates and the final
@@ -40,14 +43,5 @@ Status decode(const uint8_t* stream,
               DecodeStats* stats = nullptr,
               int threads = 1,
               TaskPool* pool = nullptr);
-
-/// The original recursive decoder (reference.cpp), kept as the oracle for
-/// the flattened production decoder — identical output coefficients and
-/// DecodeStats for every stream, including truncated and corrupt ones.
-Status decode_reference(const uint8_t* stream,
-                        size_t nbytes,
-                        Dims dims,
-                        double* coeffs,
-                        DecodeStats* stats = nullptr);
 
 }  // namespace sperr::speck

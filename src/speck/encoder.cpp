@@ -1,48 +1,46 @@
-// Production SPECK encoder: data-parallel sweep rewrite of the reference
-// coder (reference.cpp), emitting bit-identical streams.
+// The SPECK encoder: a data-parallel sweep formulation of the recursive
+// reference coder (the test-only oracle in src/oracles/), emitting
+// bit-identical streams in every mode.
 //
 //   * The set hierarchy and every set's maximum significance plane are
-//     precomputed once into the contiguous SetTree (settree.h) — the
-//     per-plane significance test collapses from a lazy strided box scan
-//     plus a double compare to one int8 load and compare.
-//   * Worklists are stable SoA buckets: an entry's set id and its cached
-//     max plane are appended once and never copied again; a descended
-//     entry is tombstoned (kConsumed) in place. The per-plane sorting
-//     sweep packs each bucket's significance and liveness tests into
-//     64-wide words (SSE2 byte compares where available, a scalar
-//     compare loop otherwise), counts insignificant-set runs with
-//     popcounts over those words, and emits each run as one put_zeros —
-//     the memory traffic per plane is one byte per listed set instead of
-//     a worklist copy. Only significant sets enter the frame-stack
-//     descent (the reference's recursion order, preserving the
-//     deducible-significance rule bit for bit).
-//   * Everything about a coefficient is settled at discovery: when it
-//     turns significant at plane p, its whole future refinement sequence
-//     is known (one integer — see sweep_found_significant for the
-//     derivation from the reference's strict-> residual chain), so its
-//     refinement bits go to per-plane bit buffers, its final
-//     reconstruction to the caller's recon array, and its error term to
-//     the estimated-RMSE fold right there. A refinement pass is then a
-//     single word-batched append of the prebuilt buffer for that plane,
-//     and nothing walks the significant set after the sweeps.
+//     precomputed once into the contiguous SetTree (settree.h), so a
+//     significance test is one int8 load and compare.
+//   * Worklists are stable SoA buckets: an entry's set id and cached max
+//     plane are appended once; a descended entry is tombstoned (kConsumed)
+//     in place. Each sorting sweep packs a bucket's significance and
+//     liveness tests into 64-wide words (SSE2 byte compares where
+//     available), counts insignificant-set runs with popcounts and emits
+//     each run as one put_zeros. Only significant sets enter the
+//     frame-stack descent (the reference's recursion order and
+//     deducible-significance rule, bit for bit).
+//   * Everything about a coefficient is settled at discovery: its whole
+//     refinement sequence is one integer (refinement_value), so its
+//     refinement bits go to per-plane bit buffers, its reconstruction to
+//     the caller's recon array and its error term to the estimated-RMSE
+//     fold right there. A refinement pass is one word-batched append of
+//     the prebuilt buffer, and nothing walks the significant set after the
+//     sweeps.
 //   * Deterministic intra-chunk parallelism (a pool of L > 1 lanes): each
-//     large bucket's words are cut into up to L * kSlicesPerLane
-//     contiguous word-aligned slices; lanes claim slices as they free up
-//     and sweep each into that slice's private Output (bits, arrivals,
-//     refinement bits, error terms), and the outputs merge in slice order.
-//     Slice concatenation reproduces the serial entry order exactly, so
-//     the stream is byte-identical at every lane count. (Safe because a
-//     descent from bucket d only spawns entries for strictly deeper
-//     buckets, never for the bucket being swept.)
+//     large bucket is cut into up to L * kSlicesPerLane contiguous slices;
+//     lanes claim slices as they free up and sweep each into its private
+//     Output (bits, arrivals, refinement bits, error terms), and the
+//     outputs merge in slice order, which is serial entry order, so the
+//     stream is byte-identical at every lane count. (Safe because a
+//     descent from bucket d only spawns entries for deeper buckets.)
+//   * Budgeted (size-bounded) mode runs the same sweeps serially and stops
+//     once the stream reaches the budget B, mid-sorting-pass included; the
+//     payload is then cut to exactly B bits. Refinement bits are
+//     prefabricated only down to a floor plane that the cut provably never
+//     passes (refinement_floor), and recon / error terms are not settled
+//     at discovery but by one pass over the discoveries after the cut
+//     (settle_cut), since the cut decides how far each was refined.
+//   * q is raised when needed so the top plane is at most kTopPlane: every
+//     stream fits the packed-integer refinement arithmetic.
 //
-// The budgeted mode (which must stop on the exact budget bit) and the
-// >50-plane fallback keep the reference's serial per-bit walk. Timing of
-// each plane's sorting / significance-scan / refinement phases is recorded
-// into EncodeStats::passes for `bench_micro --speck_json`.
-//
-// tests/test_speck_fast.cpp holds this coder to bit-identical streams and
-// equal EncodeStats against encode_reference across shapes, modes, and
-// 1/2/3/4/8 intra-chunk lanes.
+// Per-plane pass timings go to EncodeStats::passes (`bench_micro
+// --speck_json`). tests/test_speck_fast.cpp holds this coder to
+// bit-identical streams and equal EncodeStats against encode_reference
+// across shapes, modes, budgets, and 1/2/3/4/8 intra-chunk lanes.
 
 #include "speck/encoder.h"
 
@@ -50,6 +48,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -78,56 +77,84 @@ constexpr size_t kParallelSortGrain = 64;
 constexpr size_t kSlicesPerLane = 16;
 
 /// Tombstone plane for a bucket entry whose set has descended. Strictly
-/// below every real cached plane (int path planes are in [-1, 50]), so a
+/// below every real cached plane (planes are in [-1, kTopPlane]), so a
 /// consumed entry can never test significant.
 constexpr int8_t kConsumed = -128;
 
-class FastEncoder {
+/// Highest top plane a stream may have. The packed-integer refinement path
+/// holds a coefficient's whole refinement sequence in a uint64 and
+/// reconstructs in closed form, exactly while the refined span (2^n down to
+/// 2^-1) fits a double's 53-bit mantissa; plane bytes also fit int8.
+constexpr int32_t kTopPlane = 50;
+
+/// The refinement bits of a coefficient found significant at plane n, as one
+/// integer whose bit b is its refinement bit at plane b. Its magnitude m
+/// lies in (2^n, 2^(n+1)], and the reference walks r = m - 2^n down the
+/// planes emitting `r > 2^b` and subtracting on 1. Every subtraction is
+/// exact (Sterbenz), so the bits are exactly the binary digits of
+/// ceil(r0) - 1 with r0 = m - 2^n: for r0 = I + f (integer I, fraction
+/// f > 0) strict > reads digit b of I; for integral r0 = I the strict
+/// inequality shifts everything to I - 1.
+uint64_t refinement_value(double m, int32_t n) {
+  if (n == 0) return 0;  // m in (1, 2] forces v = 0 and no future bits
+  const double r0 = m - double(uint64_t(1) << n);  // exact: m in (2^n, 2^(n+1)]
+  // ceil(r0) - 1 without libm: r0 > 0, so trunc == floor, and ceil differs
+  // from floor + 1 exactly when r0 is integral.
+  const uint64_t t = uint64_t(r0);
+  return double(t) == r0 ? t - 1 : t;
+}
+
+/// The reference's reconstruction of a coefficient found at plane n whose
+/// refinement bits v were applied down to plane `low` (low == n: none): it
+/// starts at 1.5 * 2^n and moves +/- 2^(b-1) per refined plane b, which
+/// lands on 2^n + (v's digits >= low) + 2^(low-1), the refined interval's
+/// midpoint. Exact for spans <= kTopPlane planes, hence bit-identical.
+double reconstruction(int32_t n, uint64_t v, int32_t low) {
+  const uint64_t base = (uint64_t(1) << n) + (v >> low << low);
+  return low == 0 ? double(base) + 0.5 : double(base + (uint64_t(1) << (low - 1)));
+}
+
+class Encoder {
  public:
-  FastEncoder(const double* coeffs, Dims dims, double q, size_t budget_bits,
-              TaskPool* pool)
-      : coeffs_(coeffs), dims_(dims), q_(q), budget_(budget_bits) {
+  Encoder(const double* coeffs, Dims dims, double q, size_t budget_bits,
+          TaskPool* pool)
+      : coeffs_(coeffs), dims_(dims), q_(q), budget_(budget_bits),
+        stop_(budget_bits ? budget_bits : SIZE_MAX) {
     const size_t n = dims.total();
-    // Per-coefficient significance planes (consumed by the tree fill below)
-    // on the lanes; their max is the top plane.
-    std::vector<int16_t> coeff_planes(n);
-    std::vector<int16_t> lane_max(size_t(lane_count(pool)), kDeadPlane);
-    for_lane_ranges(pool, n, [&](size_t b, size_t e, int lane) {
-      int16_t mx = kDeadPlane;
-      for (size_t i = b; i < e; ++i) {
-        const int16_t p = plane_of(std::fabs(coeffs[i]) / q);
-        coeff_planes[i] = p;
-        mx = std::max(mx, p);
-      }
-      lane_max[size_t(lane)] = mx;
-    });
-    // plane_of(max m) == max plane_of(m): same top plane as the reference's
-    // `largest n with 2^n < max magnitude` search.
-    n_max_ = *std::max_element(lane_max.begin(), lane_max.end());
+    std::vector<int16_t> coeff_planes(n);  // consumed by the tree fill below
+    n_max_ = fill_coeff_planes(coeff_planes, pool);
+    if (n_max_ > kTopPlane) {
+      // Raise q so the largest magnitude sits exactly on plane kTopPlane
+      // (the header records the q used). A subnormal q can round the
+      // quotient up a plane; doubling settles it.
+      double max_mag = 0.0;
+      for (size_t i = 0; i < n; ++i) max_mag = std::max(max_mag, std::fabs(coeffs[i]));
+      q_ = std::ldexp(max_mag, -(kTopPlane + 1));
+      while ((n_max_ = fill_coeff_planes(coeff_planes, pool)) > kTopPlane) q_ *= 2.0;
+    }
     // The squared-magnitude sum for estimated_rmse() stays serial: double
     // addition is not associative, and with the same expressions in the
     // same order as the reference the accumulated double is bit-identical.
     for (size_t i = 0; i < n; ++i) {
-      const double m = std::fabs(coeffs[i]) / q;
-      mag_sq_sum_ += m * m;
+      const double m = std::fabs(coeffs[i]) / q_;
+      sq_ += m * m;
     }
-    sq_ = mag_sq_sum_;
 
     if (n_max_ >= 0) {
       tree_.build(dims, pool);
       tree_.fill_planes(coeff_planes.data(), pool);
     }
 
-    // The packed-integer refinement path holds a coefficient's whole bit
-    // sequence (up to n_max_ bits) in a uint64 and reconstructs recon/
-    // residual in closed form; both need the refined span to stay well
-    // inside double precision. 50 planes covers every real mode (fixed-rate
-    // picks q = max*2^-50); beyond that, and in budgeted mode (which must
-    // stop on an exact mid-pass bit), use the reference's residual walk.
-    int_path_ = budget_ == 0 && n_max_ <= 50;
-    // The sweep engine (int path) is the only one with parallel lanes; the
-    // serial fallbacks are inherently order-dependent.
-    if (int_path_) pool_ = pool;
+    // A budgeted encode must stop on an exact bit, so it sweeps serially;
+    // only unbudgeted sweeps get the lanes.
+    if (budget_) {
+      plane_counts_.assign(size_t(n_max_ + 1), 0);
+      for (const int16_t p : coeff_planes)
+        if (p >= 0) ++plane_counts_[size_t(p)];
+      found_.reserve(std::min(n, budget_));  // each discovery emits a bit
+    } else {
+      pool_ = pool;
+    }
     threads_ = lane_count(pool_);
   }
 
@@ -136,36 +163,31 @@ class FastEncoder {
   std::vector<uint8_t> run(EncodeStats* stats, double* recon) {
     recon_ = recon;
     if (n_max_ >= 0) {
-      if (int_path_) {
-        // Every set is listed at most once, so a bucket never outgrows its
-        // depth's node count: reserve that (untouched pages cost nothing)
-        // and arrivals never reallocate a worklist.
-        out_.spill.resize(max_depth(dims_) + 1);
-        const auto& per_depth = tree_.depth_counts();
-        for (size_t d = 0; d < per_depth.size() && d < out_.spill.size(); ++d) {
-          out_.spill[d].ids.reserve(per_depth[d]);
-          out_.spill[d].planes.reserve(per_depth[d]);
-        }
-        out_.spill[0].push(0, int8_t(tree_.plane(0)));
-        run_sweeps();
-      } else {
-        lis_.resize(max_depth(dims_) + 1);
-        lis_[0].push_back({0, tree_.plane(0)});  // root node
-        run_legacy();
-        if (recon) export_recon(recon);
+      // Every set is listed at most once, so a bucket never outgrows its
+      // depth's node count: reserve that (untouched pages cost nothing)
+      // and arrivals never reallocate a worklist.
+      out_.spill.resize(max_depth(dims_) + 1);
+      const auto& per_depth = tree_.depth_counts();
+      for (size_t d = 0; d < per_depth.size() && d < out_.spill.size(); ++d) {
+        out_.spill[d].ids.reserve(per_depth[d]);
+        out_.spill[d].planes.reserve(per_depth[d]);
       }
+      out_.spill[0].push(0, int8_t(tree_.plane(0)));
+      run_sweeps();
+      if (budget_) settle_cut();
     }
 
-    Header hdr;
-    hdr.q = q_;
-    hdr.n_max = n_max_;
-    const size_t nbits = int_path_ ? out_.bits.bit_count() : bw_.bit_count();
-    hdr.nbits = nbits;
+    // A budgeted sweep may run past the budget; the stream ends on it.
+    const size_t nbits = std::min(out_.bits.bit_count(), stop_);
+    const Header hdr{q_, n_max_, nbits};
     if (stats) {
       stats->payload_bits = nbits;
       stats->planes_coded = planes_;
-      stats->significant_count = int_path_ ? out_.found : lsp_.size() + lnsp_.size();
-      stats->estimated_coeff_rmse = estimated_rmse();
+      stats->significant_count = out_.found;
+      // sq_ started with everything in the dead zone; each coded
+      // coefficient's m^2 has since been swapped for its true squared error.
+      const size_t n = dims_.total();
+      stats->estimated_coeff_rmse = n ? q_ * std::sqrt(std::max(sq_, 0.0) / double(n)) : 0.0;
       stats->passes = std::move(pass_times_);
       stats->threads_used = threads_;
     }
@@ -173,34 +195,17 @@ class FastEncoder {
     std::vector<uint8_t> out;
     out.reserve(Header::kBytes + (nbits + 7) / 8);
     hdr.serialize(out);
-    if (int_path_) {
-      const auto& payload = out_.bits.finish();
-      out.insert(out.end(), payload.begin(), payload.end());
-    } else {
-      const auto payload = bw_.take();
-      out.insert(out.end(), payload.begin(), payload.end());
-    }
+    const auto& payload = out_.bits.finish();
+    out.insert(out.end(), payload.begin(), payload.begin() + ptrdiff_t((nbits + 7) / 8));
+    if (nbits % 8) out.back() &= uint8_t((1u << (nbits % 8)) - 1);  // bits past B read 0
     return out;
   }
 
  private:
-  struct SigEntry {
-    uint64_t idx;
-    double residual;  ///< remaining magnitude to refine away
-    double recon;     ///< decoder-equivalent reconstruction (scaled units)
-  };
-
-  /// One legacy-engine LIS entry (budgeted / >50-plane modes). The set's
-  /// max plane never changes, so it is cached at listing time.
-  struct LisEntry {
-    uint32_t id;
-    int32_t plane;  ///< == tree_.plane(id), cached at listing time
-  };
-
-  /// A sweep-engine worklist: entries append once and are tombstoned in
-  /// place when their set descends — never copied, unlike a re-listed LIS.
-  /// `planes` caches each set's max plane (int path planes fit int8), so a
-  /// sweep's significance tests read one contiguous byte per entry.
+  /// A worklist: entries append once and are tombstoned in place when their
+  /// set descends — never copied, unlike a re-listed LIS. `planes` caches
+  /// each set's max plane (planes fit int8), so a sweep's significance
+  /// tests read one contiguous byte per entry.
   struct Bucket {
     std::vector<uint32_t> ids;
     std::vector<int8_t> planes;
@@ -211,20 +216,11 @@ class FastEncoder {
     }
   };
 
-  /// Within-pass descent frame: a significant internal node whose children
-  /// are being examined. `next` is the child cursor, `any_sig` feeds the
-  /// deducible-last-child rule.
+  /// Descent frame: the node's children are scanned once at frame creation
+  /// into a significance mask and packed plane bytes (make_frame), so the
+  /// walk emits sibling runs in batches instead of testing one child per
+  /// iteration.
   struct Frame {
-    uint32_t node;
-    uint8_t next;
-    bool any_sig;
-  };
-
-  /// Sweep-engine descent frame: the node's children are scanned once at
-  /// frame creation into a significance mask and packed plane bytes
-  /// (branchless — see scan_children), so the walk emits sibling runs in
-  /// batches instead of testing one child per iteration.
-  struct SweepFrame {
     uint32_t node;
     uint8_t nc;
     uint8_t next;     ///< child cursor
@@ -232,7 +228,7 @@ class FastEncoder {
     bool any_sig;     ///< a significant child has been coded
     uint64_t planes;  ///< eight packed int8 child planes (for spills)
   };
-  using Frames = std::vector<SweepFrame>;
+  using Frames = std::vector<Frame>;
 
   /// One lane's descent stack, on its own cache line (see Output).
   struct alignas(64) LaneFrames {
@@ -254,59 +250,82 @@ class FastEncoder {
     size_t found = 0;                ///< coefficients discovered
   };
 
-  [[nodiscard]] double mag(uint64_t idx) const {
-    return std::fabs(coeffs_[idx]) / q_;
+  /// A budgeted encode's record of one discovery, in discovery order. The
+  /// magnitude rides along so settling reads no scattered coefficient.
+  struct Discovery {
+    uint32_t idx;     ///< coefficient index
+    int32_t plane;    ///< plane it turned significant at
+    size_t sign_pos;  ///< stream position of its sign bit
+    double mag;       ///< |c| / q
+  };
+
+  /// Fill `planes` with every coefficient's significance plane at q_ (on
+  /// the lanes) and return the top plane. plane_of(max m) == max plane_of(m):
+  /// the same top plane as the reference's `largest n with 2^n < max
+  /// magnitude` search.
+  int32_t fill_coeff_planes(std::vector<int16_t>& planes, TaskPool* pool) const {
+    std::vector<int16_t> lane_max(size_t(lane_count(pool)), kDeadPlane);
+    for_lane_ranges(pool, planes.size(), [&](size_t b, size_t e, int lane) {
+      int16_t mx = kDeadPlane;
+      for (size_t i = b; i < e; ++i) {
+        const int16_t p = plane_of(std::fabs(coeffs_[i]) / q_);
+        planes[i] = p;
+        mx = std::max(mx, p);
+      }
+      lane_max[size_t(lane)] = mx;
+    });
+    return *std::max_element(lane_max.begin(), lane_max.end());
   }
 
-  [[nodiscard]] double estimated_rmse() const {
-    // Start with everything in the dead zone, then swap each coded
-    // coefficient's m^2 for its true squared error.
-    double sq = sq_;  // the sweeps already folded their terms in
-    auto account = [&](double m, double recon) {
-      const double e = m - recon;
-      sq += e * e - m * m;
-    };
-    for (const auto& p : lsp_) account(mag(p.idx), p.recon);
-    for (const auto& p : lnsp_) account(mag(p.idx), p.recon);
-    const size_t n = dims_.total();
-    return n ? q_ * std::sqrt(std::max(sq, 0.0) / double(n)) : 0.0;
+  /// Budgeted mode, before plane n's passes: the lowest plane whose
+  /// refinement bits the stream can still reach. Every coefficient
+  /// significant at plane b puts at least one bit into plane b's passes
+  /// (its sign if found there, else a refinement bit), so by the end of
+  /// plane b <= n the stream holds at least its current length plus
+  /// sum_{b'=b..n} #{plane >= b'} bits. The highest plane where that bound
+  /// reaches the budget holds the cut, and no refinement pass below it is
+  /// ever emitted. The floor only rises: bits already deposited below a
+  /// newer floor are simply never appended.
+  [[nodiscard]] int32_t refinement_floor(int32_t n) const {
+    size_t at_or_above = 0;
+    for (int32_t p = n + 1; p <= n_max_; ++p) at_or_above += plane_counts_[size_t(p)];
+    size_t bound = out_.bits.bit_count();
+    for (int32_t b = n; b > floor_; --b) {
+      at_or_above += plane_counts_[size_t(b)];
+      bound += at_or_above;
+      if (bound >= budget_) return b;
+    }
+    return floor_;
   }
-
-  /// Legacy engine's reconstruction into a zeroed array.
-  void export_recon(double* out) const {
-    auto emit = [&](uint64_t idx, double recon) {
-      out[idx] = (std::signbit(coeffs_[idx]) ? -recon : recon) * q_;
-    };
-    for (const auto& p : lsp_) emit(p.idx, p.recon);
-    for (const auto& p : lnsp_) emit(p.idx, p.recon);
-  }
-
-  // --- sweep engine (unbudgeted, <= 50 planes) -----------------------------
 
   void run_sweeps() {
     // Refinement bits for plane n collect in out_.ref[n] as coefficients
-    // are discovered (planes n_max_-1 .. 0 can receive bits).
+    // are discovered (planes n_max_-1 .. floor_ can receive bits).
     out_.ref.resize(size_t(n_max_) + 1);
     lane_frames_.resize(size_t(threads_));
 
     for (int32_t n = n_max_; n >= 0; --n) {
-      const double thrd = std::ldexp(1.0, n);
-      PassTiming pt;
-      pt.plane = n;
+      if (budget_) floor_ = refinement_floor(n);
+      PassTiming pt{n};
       Timer t;
       const uint64_t b0 = out_.bits.bit_count();
-      sweep_sorting_pass(n, thrd, pt);
+      sweep_sorting_pass(n, pt);
       pt.sorting_s = t.seconds();
-      pt.sorting_bits = out_.bits.bit_count() - b0;
-      t.reset();
-      sweep_refinement_pass(n);
-      pt.refinement_s = t.seconds();
-      pt.refinement_bits = out_.bits.bit_count() - b0 - pt.sorting_bits;
+      cut_plane_ = n;
+      ref_begin_ = out_.bits.bit_count();
+      pt.sorting_bits = std::min(ref_begin_, stop_) - b0;
+      if (ref_begin_ < stop_) {
+        t.reset();
+        sweep_refinement_pass(n);
+        pt.refinement_s = t.seconds();
+        pt.refinement_bits = out_.bits.bit_count() - ref_begin_;
+      }
       pass_times_.push_back(pt);
+      if (out_.bits.bit_count() >= stop_) return;
     }
   }
 
-  void sweep_sorting_pass(int32_t n, double thrd, PassTiming& pt) {
+  void sweep_sorting_pass(int32_t n, PassTiming& pt) {
     ++planes_;
     // Deepest (smallest) sets first; children spawned by descents land in
     // deeper buckets that were already swept, so every set is examined
@@ -337,16 +356,16 @@ class FastEncoder {
         }
         for_each_claimed(pool_, nslices, [&](size_t s, int lane) {
           const LaneRange r = lane_range(count, int(nslices), int(s));
-          sweep_range(d, n, thrd, r.begin, r.end, slices_[s],
-                      lane_frames_[size_t(lane)].frames);
+          sweep_range(d, n, r.begin, r.end, slices_[s], lane_frames_[size_t(lane)].frames);
         });
         merge_slices(nslices, n);
       } else {
         Timer t;
         fill_sig_words(bk, n, 0, count);
         pt.significance_s += t.seconds();
-        sweep_range(d, n, thrd, 0, count, out_, sweep_frames_);
+        sweep_range(d, n, 0, count, out_, sweep_frames_);
         fold_terms(out_.terms);
+        if (out_.bits.bit_count() >= stop_) return;  // budget reached
       }
     }
   }
@@ -458,8 +477,7 @@ class FastEncoder {
   /// insignificant sets are counted by popcount and emitted as one batched
   /// zero run (the sets themselves stay listed in place — no copy);
   /// significant sets emit their 1-bit, descend, and are tombstoned.
-  void sweep_range(size_t d, int32_t n, double thrd, size_t b, size_t e,
-                   Output& o, Frames& frames) {
+  void sweep_range(size_t d, int32_t n, size_t b, size_t e, Output& o, Frames& frames) {
     Bucket& bk = out_.spill[d];
     const uint64_t* sigw = sig_.word_data();
     const uint64_t* livew = live_.word_data();
@@ -483,36 +501,34 @@ class FastEncoder {
         }
         o.bits.put_bits(1, 1);
         const size_t idx = base + k;
-        sweep_descend(bk.ids[idx], uint32_t(d), n, thrd, o, frames);
+        sweep_descend(bk.ids[idx], uint32_t(d), n, o, frames);
         bk.planes[idx] = kConsumed;
+        // Budgeted stop, checked once per descent; a serial budgeted sweep
+        // writes into out_, so o's count is the stream's.
+        if (o.bits.bit_count() >= stop_) return;
       }
       zeros += size_t(std::popcount(live));
     }
     if (zeros) o.bits.put_zeros(zeros);
   }
 
-  /// One branchless pass over a node's children: pack their max planes into
-  /// byte lanes of a uint64 (int path planes fit int8) and their
-  /// significance tests at plane n into a mask. Replaces the per-child
-  /// lazy plane load + compare with eight predictable iterations.
-  [[nodiscard]] std::pair<uint64_t, uint32_t> scan_children(uint32_t node,
-                                                            int32_t n) const {
+  /// A frame for `node`, from one pass over its children: their max planes
+  /// packed into byte lanes of a uint64 (planes fit int8) and their
+  /// significance tests at plane n into a mask. Significant leaf children's
+  /// coefficients are prefetched: the descent reads them next, scattered
+  /// over the grid in tree order, and would otherwise miss one at a time.
+  [[nodiscard]] Frame make_frame(uint32_t node, int32_t n) const {
     const uint32_t first = tree_.first_child(node);
     const uint32_t nc = tree_.child_count(node);
-    uint64_t planes = 0;
-    uint32_t mask = 0;
+    Frame f{node, uint8_t(nc), 0, 0, false, 0};
     for (uint32_t i = 0; i < nc; ++i) {
       const int16_t p = tree_.plane(first + i);
-      planes |= uint64_t(uint8_t(int8_t(p))) << (8 * i);
-      mask |= uint32_t(p >= n) << i;
+      f.planes |= uint64_t(uint8_t(int8_t(p))) << (8 * i);
+      f.mask |= uint8_t(uint32_t(p >= n) << i);
+      if (p >= n && tree_.is_leaf(first + i))
+        __builtin_prefetch(coeffs_ + tree_.coeff_index(first + i));
     }
-    return {planes, mask};
-  }
-
-  [[nodiscard]] SweepFrame make_frame(uint32_t node, int32_t n) const {
-    const auto [planes, mask] = scan_children(node, n);
-    return {node, uint8_t(tree_.child_count(node)), 0, uint8_t(mask), false,
-            planes};
+    return f;
   }
 
   /// The reference's recursive descent of a significant set, iteratively,
@@ -523,16 +539,15 @@ class FastEncoder {
   /// put_zeros) call, and the per-child branches on the bit value disappear.
   /// Spilled-set order and the emitted bit sequence are unchanged: bits and
   /// bucket arrivals are separate channels, and each stays in child order.
-  void sweep_descend(uint32_t id, uint32_t depth, int32_t n, double thrd,
-                     Output& o, Frames& frames) {
+  void sweep_descend(uint32_t id, uint32_t depth, int32_t n, Output& o, Frames& frames) {
     if (tree_.is_leaf(id)) {
-      sweep_found_significant(tree_.coeff_index(id), n, thrd, o);
+      sweep_found_significant(tree_.coeff_index(id), n, o);
       return;
     }
     frames.clear();
     frames.push_back(make_frame(id, n));
     while (!frames.empty()) {
-      SweepFrame& f = frames.back();
+      Frame& f = frames.back();
       const uint32_t first = tree_.first_child(f.node);
       const uint32_t rem = uint32_t(f.mask) >> f.next;
       if (rem == 0) {
@@ -569,206 +584,92 @@ class FastEncoder {
       f.next = uint8_t(j + 1);
       const uint32_t child = first + j;
       if (tree_.is_leaf(child)) {
-        sweep_found_significant(tree_.coeff_index(child), n, thrd, o);
+        sweep_found_significant(tree_.coeff_index(child), n, o);
         continue;
       }
       frames.push_back(make_frame(child, n));
     }
   }
 
-  /// A coefficient turning significant at plane n has magnitude
-  /// m in (2^n, 2^(n+1)], and the reference's refinement chain walks
-  /// r = m - 2^n down the planes emitting `r > 2^b` and subtracting on 1.
-  /// Every subtraction is exact (Sterbenz), so the emitted bits at planes
-  /// n-1..0 are exactly the binary digits of ceil(r0) - 1 with r0 = m - 2^n:
-  /// for r0 = I + f (integer I, fraction f > 0) strict > reads digit b of I;
-  /// for integral r0 = I the strict inequality shifts everything to I - 1.
-  /// That integer is captured once here, and its bits are transposed into
-  /// the per-plane refinement streams immediately — refinement passes never
-  /// revisit the coefficient. The final reconstruction follows in closed
-  /// form: the reference subtracts 2^n + v in total and adds half the final
-  /// interval (plane 0 => 0.5) — exact for spans <= 50 planes, hence
-  /// bit-identical — and so does the coefficient's error term.
-  void sweep_found_significant(uint32_t idx, int32_t n, double thrd, Output& o) {
+  /// A coefficient turning significant at plane n: its sign bit, then its
+  /// whole refinement sequence (refinement_value) transposed into the
+  /// per-plane refinement streams at once — refinement passes never revisit
+  /// it. Unbudgeted, its final reconstruction and error term follow in
+  /// closed form right here; a budgeted encode records the discovery and
+  /// leaves both to settle_cut.
+  void sweep_found_significant(uint32_t idx, int32_t n, Output& o) {
     const double c = coeffs_[idx];
-    o.bits.put_bits(uint64_t(std::signbit(c)), 1);
     const double m = std::fabs(c) / q_;
-    uint64_t v = 0;
-    if (n > 0) {  // at plane 0, m in (1, 2] forces v = 0 and no future bits
-      const double r0 = m - thrd;  // exact: m in (thrd, 2*thrd]
-      // ceil(r0) - 1 without libm: r0 > 0, so trunc == floor, and ceil
-      // differs from floor + 1 exactly when r0 is integral.
-      const uint64_t t = uint64_t(r0);
-      v = double(t) == r0 ? t - 1 : t;
-      for (int32_t b = n - 1; b >= 0; --b)
-        o.ref[size_t(b)].put_bits((v >> unsigned(b)) & uint64_t(1), 1);
-    }
-    const double recon = double((uint64_t(1) << n) + v) + 0.5;
+    if (budget_) found_.push_back({idx, n, o.bits.bit_count(), m});
+    o.bits.put_bits(uint64_t(std::signbit(c)), 1);
+    const uint64_t v = refinement_value(m, n);
+    for (int32_t b = n - 1, floor = floor_; b >= floor; --b)
+      o.ref[size_t(b)].put_bits((v >> unsigned(b)) & uint64_t(1), 1);
+    ++o.found;
+    if (budget_) return;
+    const double recon = reconstruction(n, v, 0);
     const double e = m - recon;
     o.terms.push_back(e * e - m * m);
     // Each coefficient is discovered once, so lanes never write one slot.
     if (recon_) recon_[idx] = (std::signbit(c) ? -recon : recon) * q_;
-    ++o.found;
   }
 
   /// Emit plane n's refinement bits: every entry discovered at a plane
   /// above n already deposited its bit for plane n into out_.ref[n] (in
   /// discovery order — slice merges preserve it), so the pass is one
-  /// word-batched append.
+  /// word-batched append, clipped at the budget.
   void sweep_refinement_pass(int32_t n) {
     WordBitWriter& rb = out_.ref[size_t(n)];
-    if (rb.bit_count()) {
-      out_.bits.append_bits(rb.finish().data(), rb.bit_count());
-      rb.clear();
-    }
+    const size_t take = std::min(rb.bit_count(), stop_ - out_.bits.bit_count());
+    if (take) out_.bits.append_bits(rb.finish().data(), take);
+    rb.clear();
   }
 
-  // --- legacy engine (budgeted mode and > 50 planes) ------------------------
-
-  void put(bool bit) {
-    bw_.put(bit);
-    if (budget_ && bw_.bit_count() >= budget_) budget_hit_ = true;
-  }
-
-  void run_legacy() {
-    for (int32_t n = n_max_; n >= 0 && !budget_hit_; --n) {
-      const double thrd = std::ldexp(1.0, n);
-      PassTiming pt;
-      pt.plane = n;
-      Timer t;
-      const uint64_t b0 = bw_.bit_count();
-      sorting_pass(n, thrd);
-      pt.sorting_s = t.seconds();
-      pt.sorting_bits = bw_.bit_count() - b0;
-      if (!budget_hit_) {
-        t.reset();
-        const uint64_t b1 = bw_.bit_count();
-        refinement_pass(thrd);
-        pt.refinement_s = t.seconds();
-        pt.refinement_bits = bw_.bit_count() - b1;
-      }
-      pass_times_.push_back(pt);
+  /// Budgeted mode: settle the state the reference coder stops in. It emits
+  /// the bit that reaches the budget but skips that bit's effect — a set
+  /// whose significance bit it is stays unexamined, a coefficient whose sign
+  /// bit it is is dropped, a refinement it carries is not applied — so the
+  /// state is that of the first B - 1 bits. Walking the discoveries in
+  /// discovery (= LSP) order sets each one's reconstruction by how far the
+  /// cut let it refine, folds its error term in the reference's order, and
+  /// counts it. (run_sweeps already clipped the pass bit counts.)
+  void settle_cut() {
+    const int32_t p = cut_plane_;  // every pass above p completed
+    const bool cut = out_.bits.bit_count() >= budget_;
+    const size_t last = budget_ - 1;  // the budget bit, when cut
+    // Plane p's refinement updates that land before the budget bit, taken
+    // by the coefficients found above p in discovery order: none when the
+    // cut falls in p's sorting pass, all when nothing was cut (p is 0).
+    const size_t refined = !cut ? SIZE_MAX : last > ref_begin_ ? last - ref_begin_ : 0;
+    size_t k = 0;
+    out_.found = 0;
+    for (const Discovery& d : found_) {
+      if (cut && d.sign_pos >= last) break;
+      const int32_t low = d.plane > p && k++ >= refined ? p + 1 : p;
+      const double recon = reconstruction(d.plane, refinement_value(d.mag, d.plane), low);
+      const double e = d.mag - recon;
+      sq_ += e * e - d.mag * d.mag;
+      if (recon_) recon_[d.idx] = (std::signbit(coeffs_[d.idx]) ? -recon : recon) * q_;
+      ++out_.found;
     }
-  }
-
-  void sorting_pass(int32_t n, double thrd) {
-    ++planes_;
-    for (size_t d = lis_.size(); d-- > 0;) {
-      pending_.clear();
-      pending_.swap(lis_[d]);
-      for (const LisEntry& e : pending_) {
-        process_entry(e, uint32_t(d), n, thrd);
-        if (budget_hit_) return;
-      }
-    }
-  }
-
-  /// Examine one LIS entry: emit its significance bit, then — when
-  /// significant — run the reference's recursive descent iteratively, with
-  /// the budget checked on every emitted bit.
-  void process_entry(LisEntry ent, uint32_t depth, int32_t n, double thrd) {
-    const uint32_t id = ent.id;
-    const bool sig = ent.plane >= n;
-    put(sig);
-    if (budget_hit_) return;
-    if (!sig) {
-      lis_[depth].push_back(ent);
-      return;
-    }
-    if (tree_.is_leaf(id)) {
-      found_significant(tree_.coeff_index(id), thrd);
-      return;
-    }
-    frames_.clear();
-    frames_.push_back({id, 0, false});
-    while (!frames_.empty()) {
-      Frame& f = frames_.back();
-      const uint32_t nc = tree_.child_count(f.node);
-      if (f.next == nc) {
-        frames_.pop_back();
-        continue;
-      }
-      const uint32_t child = tree_.first_child(f.node) + f.next;
-      const bool last = ++f.next == nc;
-      const bool deducible = last && !f.any_sig;
-      bool csig = true;
-      int32_t cplane = 0;
-      if (!deducible) {
-        cplane = tree_.plane(child);
-        csig = cplane >= n;
-        put(csig);
-        if (budget_hit_) return;
-      }
-      f.any_sig |= csig;
-      if (!csig) {
-        lis_[depth + frames_.size()].push_back({child, cplane});
-        continue;
-      }
-      if (tree_.is_leaf(child)) {
-        found_significant(tree_.coeff_index(child), thrd);
-        if (budget_hit_) return;
-        continue;
-      }
-      frames_.push_back({child, 0, false});
-    }
-  }
-
-  void found_significant(uint64_t idx, double thrd) {
-    put(std::signbit(coeffs_[idx]));
-    if (budget_hit_) return;  // sign bit emitted, entry dropped — as reference
-    lnsp_.push_back({idx, mag(idx), 1.5 * thrd});
-  }
-
-  void refinement_pass(double thrd) {
-    if (budget_ == 0) {
-      // >50-plane fallback: the reference's residual walk with batched
-      // emission through the word-at-a-time path.
-      uint64_t word = 0;
-      unsigned fill = 0;
-      for (auto& p : lsp_) {
-        const bool bit = p.residual > thrd;
-        if (bit) p.residual -= thrd;
-        p.recon += bit ? thrd / 2.0 : -thrd / 2.0;
-        word |= uint64_t(bit) << fill;
-        if (++fill == 64) {
-          bw_.put_word(word);
-          word = 0;
-          fill = 0;
-        }
-      }
-      if (fill) bw_.put_bits(word, fill);
-    } else {
-      // Budgeted: per-bit loop so encoding stops on the exact budget bit,
-      // with that bit's state update skipped — as the reference does.
-      for (auto& p : lsp_) {
-        const bool bit = p.residual > thrd;
-        put(bit);
-        if (budget_hit_) return;
-        if (bit) p.residual -= thrd;
-        p.recon += bit ? thrd / 2.0 : -thrd / 2.0;
-      }
-    }
-    for (auto& p : lnsp_) p.residual -= thrd;
-    lsp_.insert(lsp_.end(), lnsp_.begin(), lnsp_.end());
-    lnsp_.clear();
   }
 
   const double* coeffs_;
   Dims dims_;
   double q_;
-  size_t budget_;
-  bool budget_hit_ = false;
-  double* recon_ = nullptr;  ///< sweep engine's recon destination (nullable)
+  size_t budget_;            ///< 0 = unbudgeted
+  size_t stop_;              ///< budget_, or SIZE_MAX when unbudgeted
+  double* recon_ = nullptr;  ///< recon destination (nullable)
 
-  double mag_sq_sum_ = 0.0;
   double sq_ = 0.0;  ///< estimated-RMSE accumulator (see fold_terms)
   int32_t n_max_ = -1;
+  int32_t floor_ = 0;  ///< lowest plane given refinement bits (refinement_floor)
+  std::vector<size_t> plane_counts_;  ///< budgeted: coefficients per plane
   size_t planes_ = 0;
   std::vector<PassTiming> pass_times_;
 
   SetTree tree_;
 
-  bool int_path_ = false;  ///< packed-integer refinement (see constructor)
   int threads_ = 1;
   TaskPool* pool_ = nullptr;  ///< sweep lanes; null when serial
   Output out_;                ///< the stream and worklists (see Output)
@@ -779,13 +680,10 @@ class FastEncoder {
   PackedBits sig_;   ///< per-bucket packed significance bits (scratch)
   PackedBits live_;  ///< per-bucket packed liveness bits (scratch)
 
-  std::vector<std::vector<LisEntry>> lis_;  ///< legacy worklists by depth
-  std::vector<LisEntry> pending_;           ///< legacy per-bucket scratch
-  std::vector<Frame> frames_;               ///< legacy engine's descent stack
-
-  std::vector<SigEntry> lsp_;  ///< fallback paths: residual-walk entries
-  std::vector<SigEntry> lnsp_;
-  BitWriter bw_;  ///< legacy engine's stream
+  // Budgeted mode: where the sweeps stopped, and what they found.
+  int32_t cut_plane_ = 0;      ///< plane of the last pass run
+  size_t ref_begin_ = 0;       ///< stream position where its refinement began
+  std::vector<Discovery> found_;
 };
 
 }  // namespace
@@ -798,17 +696,16 @@ std::vector<uint8_t> encode(const double* coeffs,
                             std::vector<double>* recon_out,
                             int threads,
                             TaskPool* pool) {
-  // Node ids in the flattened tree are uint32; beyond this (far above any
-  // real chunk) fall back to the reference coder.
-  if (dims.total() >= (size_t(1) << 31))
-    return encode_reference(coeffs, dims, q, budget_bits, stats, recon_out);
+  if (dims.total() >= kCoefficientLimit)
+    throw std::invalid_argument("speck::encode: " + dims.to_string() +
+                                " holds 2^31 or more coefficients");
   std::unique_ptr<TaskPool> own;
   if (!pool) {
     own = make_pool(threads);
     pool = own.get();
   }
   if (recon_out) recon_out->assign(dims.total(), 0.0);
-  FastEncoder enc(coeffs, dims, q, budget_bits, pool);
+  Encoder enc(coeffs, dims, q, budget_bits, pool);
   return enc.run(stats, recon_out ? recon_out->data() : nullptr);
 }
 

@@ -9,6 +9,8 @@
 //   * the whole (transformed) domain is the root set;
 //   * the output is embedded: any prefix decodes, enabling the size-bounded
 //     mode by simply stopping at a bit budget.
+// One engine codes every mode (encoder.cpp); the recursive coder it was
+// derived from survives only as a test oracle (oracles/speck_reference.h).
 
 #include <cstdint>
 #include <vector>
@@ -45,32 +47,43 @@ struct EncodeStats {
   /// inverse transform (paper §III-A and the §VII average-error extension).
   double estimated_coeff_rmse = 0.0;
 
-  /// Per-bitplane pass costs, top plane first (production encoder only; the
-  /// reference coder leaves this empty). Feeds `bench_micro --speck_json`.
+  /// Per-bitplane pass costs, top plane first; a budgeted encode's last
+  /// pass counts only the bits up to the budget, so the bit counts sum to
+  /// payload_bits (the reference oracle leaves this empty). Feeds
+  /// `bench_micro --speck_json`.
   std::vector<PassTiming> passes;
 
-  /// Intra-chunk threads the encoder actually used (after resolving 0=auto
-  /// and the serial fallbacks for budgeted / >50-plane modes).
+  /// Intra-chunk threads the encoder actually used: the resolved lane count
+  /// (0 = auto), or 1 for a budgeted encode, which always sweeps serially.
   int threads_used = 1;
 };
 
 /// Encode `coeffs` (dims.total() values) with finest step q (> 0).
 /// `budget_bits` == 0 means "all bitplanes down to q" (quality-driven / PWE
-/// mode); otherwise the stream is truncated at the first operation that
-/// reaches the budget (size-bounded mode).
+/// mode); otherwise the stream ends on the bit that reaches the budget
+/// (size-bounded mode): exactly min(budget, full length) payload bits, the
+/// prefix of the unbudgeted stream, with that last bit's effect on the
+/// reconstruction and stats skipped as in the reference coder.
+///
+/// q is raised to max|c| * 2^-51 when it is smaller, so the top bitplane is
+/// at most 50 (a finer step would only code bits below double precision);
+/// the stream header records the q actually used. Throws
+/// std::invalid_argument for grids of kCoefficientLimit (2^31) coefficients
+/// or more.
 ///
 /// `recon_out`, when non-null, receives the decoder-equivalent coefficient
 /// reconstruction (resized to dims.total()). The encoder maintains it
 /// alongside the emitted bits, so the SPERR pipeline can locate outliers
 /// without decoding its own stream (paper §V-C stage 3 is just an inverse
-/// transform plus a comparison). Only exact in unbudgeted mode.
+/// transform plus a comparison). In budgeted mode it is the reconstruction
+/// a decoder of the budgeted stream produces.
 ///
 /// `threads` enables deterministic intra-chunk parallelism: each bitplane's
 /// large worklists are cut into fixed contiguous slices that lanes claim
 /// dynamically, and the slice outputs merge in slice order, so the stream
-/// is byte-identical at every thread count (including to the serial engine
-/// and to encode_reference). The set-tree build and the plane scan run on
-/// the same lanes. 0 = one lane per hardware thread; budgeted mode (which
+/// is byte-identical at every thread count (including to the serial sweep
+/// and to the reference oracle). The set-tree build and the plane scan run
+/// on the same lanes. 0 = one lane per hardware thread; budgeted mode (which
 /// must stop on an exact mid-pass bit) always sweeps serially. `pool`, when
 /// non-null, supplies the lanes instead (and `threads` is ignored), so a
 /// caller can run every stage of a chunk on one set of threads.
@@ -82,17 +95,5 @@ std::vector<uint8_t> encode(const double* coeffs,
                             std::vector<double>* recon_out = nullptr,
                             int threads = 1,
                             TaskPool* pool = nullptr);
-
-/// The original recursive, lazily-evaluated coder (reference.cpp), kept as
-/// the bit-exactness oracle for the flattened production encoder — same
-/// stream bytes, same EncodeStats, for every input and mode. Differentially
-/// tested in tests/test_speck_fast.cpp; the speedup is recorded by
-/// `bench_micro --speck_json` (BENCH_speck.json).
-std::vector<uint8_t> encode_reference(const double* coeffs,
-                                      Dims dims,
-                                      double q,
-                                      size_t budget_bits = 0,
-                                      EncodeStats* stats = nullptr,
-                                      std::vector<double>* recon_out = nullptr);
 
 }  // namespace sperr::speck

@@ -1,6 +1,6 @@
 #pragma once
 
-// Flattened SPECK set-partition hierarchy. The reference coder materializes
+// Flattened SPECK set-partition hierarchy. The reference oracle materializes
 // sets lazily as 40-byte box entries and rediscovers each set's children
 // (split_box) and maximum magnitude (a strided box scan) on demand, every
 // plane. This tree precomputes both, once, into contiguous SoA arrays:
@@ -65,8 +65,8 @@ inline int16_t plane_of(double m) {
 }
 
 /// The flattened set-partition tree. Node ids are uint32: callers must
-/// ensure dims.total() < 2^31 (the speck::encode/decode entry points fall
-/// back to the reference coder above that).
+/// ensure dims.total() < kCoefficientLimit (2^31), which the speck::encode /
+/// decode entry points enforce by rejecting larger grids.
 ///
 /// Storage is one interleaved 8-byte record per node: the sorting-pass
 /// descent reads a child's structure and max plane together, so each node

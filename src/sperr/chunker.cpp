@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "speck/common.h"
+
 namespace sperr {
 
 namespace {
@@ -28,7 +30,25 @@ std::vector<std::pair<size_t, size_t>> segments(size_t n, size_t pref) {
   return out;
 }
 
+/// The longest segment segments(n, pref) returns, in closed form: only the
+/// final segment can exceed pref, by a remainder shorter than pref / 2.
+size_t longest_segment(size_t n, size_t pref) {
+  pref = std::max<size_t>(pref, 1);
+  if (n <= pref) return n;
+  const size_t rem = n % pref;
+  return rem != 0 && rem < pref / 2 ? pref + rem : pref;
+}
+
 }  // namespace
+
+Dims largest_chunk(Dims volume, Dims preferred) {
+  return {longest_segment(volume.x, preferred.x), longest_segment(volume.y, preferred.y),
+          longest_segment(volume.z, preferred.z)};
+}
+
+bool chunks_codable(Dims volume, Dims preferred) {
+  return largest_chunk(volume, preferred).total() < speck::kCoefficientLimit;
+}
 
 std::vector<Chunk> make_chunks(Dims volume, Dims preferred) {
   const auto xs = segments(volume.x, preferred.x);

@@ -34,6 +34,18 @@ inline size_t chunk_count_bound(Dims volume, Dims preferred) {
          per_axis(volume.z, preferred.z);
 }
 
+/// Extents of the largest chunk make_chunks(volume, preferred) produces,
+/// without materializing the grid: along each axis the final segment
+/// absorbs a remainder shorter than half a chunk, so a chunk can reach
+/// ~1.5x the preferred extent per axis.
+Dims largest_chunk(Dims volume, Dims preferred);
+
+/// True when every chunk of the grid holds fewer than
+/// speck::kCoefficientLimit (2^31) samples, the most one SPECK stream
+/// codes. Compressors reject other grids before reading any data, and
+/// container decoders reject headers that declare one.
+bool chunks_codable(Dims volume, Dims preferred);
+
 /// Copy one chunk out of a volume into a contiguous buffer.
 void gather_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
                   double* out);

@@ -27,6 +27,9 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& 
     throw std::invalid_argument("sperr: target-rmse mode requires rmse > 0");
   if (cfg.mode == Mode::pwe && !(cfg.q_over_t > 0.0))
     throw std::invalid_argument("sperr: q_over_t must be > 0");
+  if (!chunks_codable(dims, cfg.chunk_dims))
+    throw std::invalid_argument("sperr: a " + largest_chunk(dims, cfg.chunk_dims).to_string() +
+                                " chunk holds 2^31 or more samples");
   // Non-finite samples would silently poison the transform and quantizer;
   // reject them up front (the reference SPERR has the same requirement).
   for (size_t i = 0; i < dims.total(); ++i)

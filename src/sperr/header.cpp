@@ -3,6 +3,7 @@
 #include "common/byteio.h"
 #include "common/checksum.h"
 #include "lossless/codec.h"
+#include "sperr/chunker.h"
 
 namespace sperr {
 
@@ -54,6 +55,9 @@ Status ContainerHeader::deserialize(ByteReader& br, uint8_t ver) {
   const uint32_t n = br.u32();
   if (!br.ok()) return Status::truncated_stream;
   if (!plausible_dims(dims)) return Status::corrupt_stream;
+  // No encoder writes a chunk SPECK cannot code; refuse before sizing
+  // anything by the directory.
+  if (!chunks_codable(dims, chunk_dims)) return Status::corrupt_stream;
   const size_t entry_bytes = has_integrity() ? kEntryBytesV3 : kEntryBytesV2;
   // An entry count beyond what the remaining bytes can hold is garbage.
   if (n > br.remaining() / entry_bytes) return Status::truncated_stream;

@@ -8,6 +8,27 @@
 namespace sperr {
 namespace {
 
+TEST(Chunker, LargestChunkMatchesEnumeratedGrid) {
+  // largest_chunk is make_chunks' per-axis maximum in closed form,
+  // including sliver absorption (up to ~1.5x the preferred extent).
+  for (size_t n = 1; n <= 70; ++n)
+    for (size_t pref = 1; pref <= 40; ++pref) {
+      const Dims volume{n, 3, 1};
+      const Dims preferred{pref, 2, 5};
+      Dims biggest{0, 0, 0};
+      for (const Chunk& c : make_chunks(volume, preferred)) {
+        biggest.x = std::max(biggest.x, c.dims.x);
+        biggest.y = std::max(biggest.y, c.dims.y);
+        biggest.z = std::max(biggest.z, c.dims.z);
+      }
+      ASSERT_EQ(largest_chunk(volume, preferred), biggest) << n << " / " << pref;
+    }
+  EXPECT_EQ(largest_chunk(Dims{299, 1, 1}, Dims{200, 1, 1}).x, 299u);
+  EXPECT_TRUE(chunks_codable(Dims{256, 256, 256}, Dims{256, 256, 256}));
+  EXPECT_FALSE(chunks_codable(Dims{size_t(1) << 11, size_t(1) << 10, size_t(1) << 10},
+                              Dims{size_t(1) << 11, size_t(1) << 10, size_t(1) << 10}));
+}
+
 TEST(Chunker, SingleChunkWhenVolumeFits) {
   const auto chunks = make_chunks(Dims{64, 64, 64}, Dims{256, 256, 256});
   ASSERT_EQ(chunks.size(), 1u);

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "common/threadpool.h"
+#include "oracles/dwt_reference.h"
 #include "wavelet/dwt.h"
 
 namespace sperr::wavelet {

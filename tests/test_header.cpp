@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/byteio.h"
+#include "sperr/sperr.h"
 
 namespace sperr {
 namespace {
@@ -129,6 +130,40 @@ TEST(ContainerHeader, RejectsImplausibleExtents) {
   ByteReader br(buf.data(), buf.size());
   ContainerHeader parsed;
   EXPECT_EQ(parsed.deserialize(br), Status::corrupt_stream);
+}
+
+TEST(ContainerHeader, RejectsChunksBeyondSpeckLimit) {
+  // A directory whose chunk grid has a chunk of 2^31 or more samples was
+  // never written by an encoder: every decoder refuses it cleanly at the
+  // header, before sizing anything by it.
+  auto hdr = sample_header();
+  hdr.dims = Dims{size_t(1) << 11, size_t(1) << 10, size_t(1) << 10};
+  hdr.chunk_dims = hdr.dims;
+  hdr.entries = {ChunkEntry(0, 0)};
+  std::vector<uint8_t> buf;
+  hdr.serialize(buf);
+  ByteReader br(buf.data(), buf.size());
+  ContainerHeader parsed;
+  EXPECT_EQ(parsed.deserialize(br), Status::corrupt_stream);
+
+  const auto blob = wrap_container(buf, false);
+  std::vector<double> out;
+  Dims od;
+  EXPECT_EQ(decompress(blob.data(), blob.size(), out, od), Status::corrupt_stream);
+  EXPECT_TRUE(out.empty());
+  DecodeReport report;
+  EXPECT_EQ(decompress_tolerant(blob.data(), blob.size(), Recovery::coarse_fill, out, od,
+                                &report),
+            Status::corrupt_stream);
+  EXPECT_FALSE(report.field_valid);
+
+  // Halve the chunk and the same header parses (the volume is then refused
+  // by the output limit, not the chunk limit).
+  hdr.chunk_dims.x /= 2;
+  buf.clear();
+  hdr.serialize(buf);
+  ByteReader br2(buf.data(), buf.size());
+  EXPECT_EQ(parsed.deserialize(br2), Status::ok);
 }
 
 TEST(ContainerHeader, RejectsTruncation) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <spawn.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -13,9 +14,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "sperr/sperr.h"
+
+extern char** environ;
 
 namespace sperr::outofcore {
 namespace {
@@ -23,7 +27,7 @@ namespace {
 /// This process's private scratch directory, made once by mkdtemp with the
 /// pid in its name. ctest runs every test case in its own process, so a
 /// per-process counter alone would hand concurrent cases the same paths.
-/// Removed at exit by the process that made it (forked children _exit).
+/// Removed at exit by the process that made it.
 class ProcessTempDir {
  public:
   ProcessTempDir() {
@@ -184,14 +188,11 @@ TEST(OutOfCore, SizeMismatchRejected) {
 // The crash-consistency contract of outofcore.h: kill the writer at EVERY
 // stage boundary of the atomic write path and the destination is either
 // absent, its previous content, or the complete new content — never a torn
-// container. Each case forks, _exit()s inside the crash hook at one stage,
-// and inspects what the "crashed" process left on disk.
-
-const char* g_crash_stage = nullptr;
-
-void crash_at_stage(const char* stage) {
-  if (std::strcmp(stage, g_crash_stage) == 0) _exit(42);
-}
+// container. Each case spawns the ooc_crash_writer helper, which _exit()s
+// inside the crash hook at one stage, and inspects what the "crashed"
+// process left on disk. The writer is a fresh process (posix_spawn, not a
+// bare fork of this one), so the OpenMP runtime this process has already
+// started can never deadlock it.
 
 std::vector<uint8_t> slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -206,20 +207,38 @@ bool file_exists(const std::string& path) {
 constexpr const char* kCrashStages[] = {"tmp_open",   "tmp_partial", "tmp_written",
                                         "tmp_synced", "renamed",     "dir_synced"};
 
-/// Run `op` in a forked child that _exit(42)s at `stage`; returns true when
-/// the hook actually fired (guards against a stage silently not reached).
-template <class Op>
-bool crash_child_at(const char* stage, Op&& op) {
-  const pid_t pid = fork();
-  if (pid == 0) {
-    g_crash_stage = stage;
-    detail::set_crash_hook(&crash_at_stage);
-    op();
-    _exit(0);  // hook never fired
-  }
+/// Run the writer `op` ("compress" or "decompress") with `args` in a helper
+/// process that _exit(42)s at `stage`; returns true when the hook actually
+/// fired (guards against a stage silently not reached).
+bool crash_child_at(const char* stage, const char* op, std::vector<std::string> args) {
+  args.insert(args.begin(), {SPERR_OOC_CRASH_WRITER, op, stage});
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  pid_t pid = 0;
+  const int rc = ::posix_spawn(&pid, argv[0], nullptr, nullptr, argv.data(), environ);
+  EXPECT_EQ(rc, 0) << "posix_spawn " << argv[0] << ": " << std::strerror(rc);
+  if (rc != 0) return false;
   int wstatus = 0;
   EXPECT_EQ(::waitpid(pid, &wstatus, 0), pid);
   return WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 42;
+}
+
+/// The writer's compress arguments for a raw f64 field of `dims`, cut into
+/// `chunk` chunks at `tolerance` (passed exactly, in hex-float form).
+std::vector<std::string> compress_args(const std::string& raw, const std::string& dest,
+                                       Dims dims, double tolerance, Dims chunk) {
+  char tol[64];
+  std::snprintf(tol, sizeof tol, "%a", tolerance);
+  return {raw,
+          dest,
+          std::to_string(dims.x),
+          std::to_string(dims.y),
+          std::to_string(dims.z),
+          tol,
+          std::to_string(chunk.x),
+          std::to_string(chunk.y),
+          std::to_string(chunk.z)};
 }
 
 TEST(OutOfCoreCrash, CompressKilledAtEveryStageNeverTearsDestination) {
@@ -246,9 +265,9 @@ TEST(OutOfCoreCrash, CompressKilledAtEveryStageNeverTearsDestination) {
       out.write(reinterpret_cast<const char*>(old_content.data()),
                 std::streamsize(old_content.size()));
     }
-    ASSERT_TRUE(crash_child_at(stage, [&] {
-      compress_file(raw.path(), dims, 8, cfg, dest.path());
-    }));
+    ASSERT_TRUE(crash_child_at(stage, "compress",
+                               compress_args(raw.path(), dest.path(), dims,
+                                             cfg.tolerance, cfg.chunk_dims)));
     ASSERT_TRUE(file_exists(dest.path()));
     const std::vector<uint8_t> found = slurp(dest.path());
     EXPECT_TRUE(found == old_content || found == clean)
@@ -262,9 +281,9 @@ TEST(OutOfCoreCrash, CompressKilledAtEveryStageNeverTearsDestination) {
   // never a partial file.
   for (const char* stage : kCrashStages) {
     SCOPED_TRACE(stage);
-    ASSERT_TRUE(crash_child_at(stage, [&] {
-      compress_file(raw.path(), dims, 8, cfg, dest.path());
-    }));
+    ASSERT_TRUE(crash_child_at(stage, "compress",
+                               compress_args(raw.path(), dest.path(), dims,
+                                             cfg.tolerance, cfg.chunk_dims)));
     if (file_exists(dest.path())) {
       EXPECT_EQ(slurp(dest.path()), clean);
     }
@@ -288,9 +307,7 @@ TEST(OutOfCoreCrash, DecompressKilledAtEveryStageNeverTearsDestination) {
 
   for (const char* stage : kCrashStages) {
     SCOPED_TRACE(stage);
-    ASSERT_TRUE(crash_child_at(stage, [&] {
-      decompress_file(packed.path(), dest.path(), 8);
-    }));
+    ASSERT_TRUE(crash_child_at(stage, "decompress", {packed.path(), dest.path()}));
     if (file_exists(dest.path())) {
       EXPECT_EQ(slurp(dest.path()), clean);
     }

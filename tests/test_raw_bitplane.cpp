@@ -1,4 +1,4 @@
-#include "speck/raw_bitplane.h"
+#include "oracles/raw_bitplane.h"
 
 #include <gtest/gtest.h>
 

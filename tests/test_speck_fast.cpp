@@ -12,10 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
+#include "common/byteio.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
+#include "oracles/speck_reference.h"
 #include "speck/common.h"
 #include "speck/decoder.h"
 #include "speck/encoder.h"
@@ -151,6 +154,27 @@ TEST(SpeckFast, BudgetedModesMatchReference) {
     // beyond the unbudgeted stream length.
     for (const size_t budget : {size_t(3), size_t(64), n / 2, 2 * n, 100 * n})
       expect_coders_identical(d, 0.25, budget, ++seed);
+  }
+}
+
+TEST(SpeckFast, EveryBudgetMatchesReference) {
+  // Every budget from one bit past the full stream length down to a single
+  // bit, so the cut lands on every kind of bit the coder emits: mid-sorting
+  // zeros and ones, sign bits (the coefficient is dropped), sets whose last
+  // child is deduced, refinement bits (the update is skipped), and the last
+  // bit of each pass and of the stream.
+  const struct {
+    Dims dims;
+    double q;
+    uint64_t seed;
+  } fields[] = {{{8, 8, 4}, 0.5, 501}, {{5, 7, 3}, 0.25, 502}};
+  for (const auto& f : fields) {
+    const auto coeffs = adversarial_coeffs(f.dims, f.seed, f.q);
+    EncodeStats full;
+    (void)encode(coeffs.data(), f.dims, f.q, 0, &full);
+    ASSERT_GT(full.payload_bits, 200u);
+    for (size_t budget = 1; budget <= full.payload_bits + 1; ++budget)
+      expect_coders_identical(f.dims, f.q, budget, f.seed);
   }
 }
 
@@ -352,6 +376,111 @@ TEST(SpeckFast, PerPassBitCountsPartitionThePayload) {
       EXPECT_EQ(ts.passes[i].refinement_bits, st.passes[i].refinement_bits);
     }
   }
+
+  // A budgeted encode cut mid-stream: its passes are the unbudgeted ones up
+  // to the cut plane, and the last is clipped so they still sum to the
+  // (budget-long) payload.
+  const size_t budget = st.payload_bits / 2 + 3;
+  EncodeStats bs;
+  (void)encode(coeffs.data(), dims, 0.1, budget, &bs);
+  ASSERT_EQ(bs.payload_bits, budget);
+  ASSERT_FALSE(bs.passes.empty());
+  ASSERT_LT(bs.passes.size(), st.passes.size());
+  uint64_t budgeted_sum = 0;
+  for (size_t i = 0; i < bs.passes.size(); ++i) {
+    EXPECT_EQ(bs.passes[i].plane, st.passes[i].plane);
+    if (i + 1 < bs.passes.size()) {
+      EXPECT_EQ(bs.passes[i].sorting_bits, st.passes[i].sorting_bits);
+      EXPECT_EQ(bs.passes[i].refinement_bits, st.passes[i].refinement_bits);
+    }
+    budgeted_sum += bs.passes[i].sorting_bits + bs.passes[i].refinement_bits;
+  }
+  EXPECT_EQ(budgeted_sum, uint64_t(budget));
+}
+
+TEST(SpeckFast, TopPlaneIsClampedToFifty) {
+  // A step far below the coefficients' scale would need more than 50
+  // planes; encode raises q to max|c| * 2^-51 instead, so the top plane is
+  // exactly 50, the header carries the q used, and the stream decodes to
+  // within that q. The oracle, which has no clamp, codes > 50 planes.
+  const Dims dims{12, 10, 6};
+  auto coeffs = adversarial_coeffs(dims, 88, 1.0);
+  coeffs[7] = -std::ldexp(1.0, 60);  // 2^60 against q = 1: plane 59
+  double max_mag = 0.0;
+  for (const double c : coeffs) max_mag = std::max(max_mag, std::fabs(c));
+  const auto header_of = [](const std::vector<uint8_t>& s) {
+    ByteReader br(s.data(), s.size());
+    Header h;
+    EXPECT_EQ(h.deserialize(br), Status::ok);
+    return h;
+  };
+
+  for (const size_t budget : {size_t(0), size_t(900)}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    std::vector<double> recon;
+    const auto stream = encode(coeffs.data(), dims, 1.0, budget, nullptr, &recon);
+    const Header h = header_of(stream);
+    EXPECT_EQ(h.n_max, 50);
+    EXPECT_EQ(h.q, std::ldexp(max_mag, -51));
+    std::vector<double> out(dims.total());
+    ASSERT_EQ(decode(stream.data(), stream.size(), dims, out.data()), Status::ok);
+    EXPECT_EQ(out, recon);  // the encoder's recon is the decoder's, clamp included
+    if (budget == 0) {
+      for (size_t i = 0; i < out.size(); ++i)
+        EXPECT_LE(std::fabs(out[i] - coeffs[i]), h.q) << "coefficient " << i;
+    }
+  }
+  EXPECT_GT(header_of(encode_reference(coeffs.data(), dims, 1.0)).n_max, 50);
+
+  // Tiny data: max|c| * 2^-51 is subnormal, so the raised q is rounded and
+  // the quotient can land above 2^51 (plane 51 for this max); q then
+  // doubles until it does not.
+  for (double& c : coeffs) c *= 1e-320;
+  coeffs[7] = -9.99e-301;
+  std::vector<double> recon, out(dims.total());
+  const auto tiny = encode(coeffs.data(), dims, 1e-320, 0, nullptr, &recon);
+  EXPECT_EQ(header_of(tiny).n_max, 50);
+  EXPECT_EQ(header_of(tiny).q, 2.0 * std::ldexp(9.99e-301, -51));
+  ASSERT_EQ(decode(tiny.data(), tiny.size(), dims, out.data()), Status::ok);
+  EXPECT_EQ(out, recon);
+}
+
+TEST(SpeckFast, DecoderMatchesReferenceBeyondFiftyPlanes) {
+  // Decoders accept any n_max: streams of more than 50 planes (which the
+  // oracle still writes, as encoders before the q clamp did) decode
+  // exactly as the reference decodes them, whole and truncated.
+  const Dims dims{9, 7, 5};
+  auto coeffs = adversarial_coeffs(dims, 99, 1.0);
+  coeffs[3] = std::ldexp(1.0, 56) + 12345.0;
+  coeffs[40] = -std::ldexp(1.0, 55);
+  const auto stream = encode_reference(coeffs.data(), dims, 1.0);
+  ByteReader br(stream.data(), stream.size());
+  Header h;
+  ASSERT_EQ(h.deserialize(br), Status::ok);
+  ASSERT_GT(h.n_max, 50);
+  for (const size_t nbytes : {stream.size(), Header::kBytes + (stream.size() - Header::kBytes) / 3}) {
+    SCOPED_TRACE("nbytes=" + std::to_string(nbytes));
+    std::vector<double> ref_out(dims.total()), out(dims.total());
+    DecodeStats ref_ds, ds;
+    ASSERT_EQ(decode_reference(stream.data(), nbytes, dims, ref_out.data(), &ref_ds),
+              Status::ok);
+    for (const int t : kThreadWall) {
+      ASSERT_EQ(decode(stream.data(), nbytes, dims, out.data(), &ds, t), Status::ok);
+      expect_decode_stats_equal(ds, ref_ds);
+      ASSERT_EQ(out, ref_out);
+    }
+  }
+}
+
+TEST(SpeckFast, GridsOfTwoToTheThirtyOneCoefficientsRejected) {
+  // One past the coder's uint32 addressing: rejected before anything is
+  // read or allocated (null buffers would fault otherwise).
+  const Dims too_big{size_t(1) << 11, size_t(1) << 10, size_t(1) << 10};
+  ASSERT_EQ(too_big.total(), kCoefficientLimit);
+  EXPECT_THROW((void)encode(nullptr, too_big, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)encode(nullptr, too_big, 1.0, 64), std::invalid_argument);
+  const std::vector<uint8_t> stream = encode(std::vector<double>(8, 3.0).data(), Dims{2, 2, 2}, 1.0);
+  EXPECT_EQ(decode(stream.data(), stream.size(), too_big, nullptr), Status::invalid_argument);
 }
 
 TEST(SpeckFast, LargeBucketSlicesMatchReference) {

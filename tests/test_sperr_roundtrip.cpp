@@ -5,9 +5,12 @@
 #include <cmath>
 #include <limits>
 
+#include "common/byteio.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "data/synthetic.h"
+#include "speck/common.h"
+#include "sperr/header.h"
 #include "sperr/recovery.h"
 
 namespace sperr {
@@ -250,6 +253,64 @@ TEST(SperrRoundTrip, InvalidConfigThrows) {
   bad_rate.mode = Mode::fixed_rate;
   bad_rate.bpp = -1.0;
   EXPECT_THROW((void)compress(field.data(), dims, bad_rate), std::invalid_argument);
+}
+
+TEST(SperrRoundTrip, OversizedChunkRejectedBeforeReadingData) {
+  // A chunk of 2^31 or more samples is beyond what SPECK codes: Config
+  // validation rejects the grid from its extents alone, before reading a
+  // sample (the one-element buffer would be overrun otherwise).
+  const std::vector<double> one(1, 0.0);
+  Config cfg;
+  cfg.tolerance = 1.0;
+  const Dims huge{size_t(1) << 11, size_t(1) << 10, size_t(1) << 10};
+  cfg.chunk_dims = huge;
+  EXPECT_THROW((void)compress(one.data(), huge, cfg), std::invalid_argument);
+  // The real extents decide, not the preferred ones: 1.5 * 2^29 samples
+  // per preferred chunk, but absorbing the sliver of a 1.5 * 2^20 - 1
+  // extent makes the one chunk ~1.1 * 2^31.
+  cfg.chunk_dims = Dims{size_t(1) << 20, 3 * (size_t(1) << 9), 1};
+  ASSERT_LT(cfg.chunk_dims.total(), size_t(1) << 31);
+  const Dims sliver{(size_t(1) << 20) + (size_t(1) << 19) - 1, 3 * (size_t(1) << 9), 1};
+  EXPECT_THROW((void)compress(one.data(), sliver, cfg), std::invalid_argument);
+  cfg.mode = Mode::fixed_rate;
+  cfg.bpp = 2.0;
+  EXPECT_THROW((void)compress(one.data(), sliver, cfg), std::invalid_argument);
+}
+
+TEST(SperrRoundTrip, PweBoundHoldsBeyondFiftyPlanes) {
+  // At idx 48 and 50 the step q = 1.5 t sits so far below the largest
+  // wavelet coefficients that SPECK would need more than 50 planes; it
+  // raises q to keep every chunk at <= 50, and the outlier stage still
+  // brings every point within t.
+  const Dims dims{40, 36, 20};
+  const auto field = data::miranda_pressure(dims);
+  bool clamped = false;
+  for (const int idx : {48, 50}) {
+    SCOPED_TRACE("idx=" + std::to_string(idx));
+    Config cfg;
+    cfg.tolerance = tolerance_from_idx(field.data(), field.size(), idx);
+    cfg.chunk_dims = Dims{24, 24, 24};
+    const auto blob = compress(field.data(), dims, cfg);
+    std::vector<double> out;
+    Dims od;
+    ASSERT_EQ(decompress(blob.data(), blob.size(), out, od), Status::ok);
+    EXPECT_LE(max_abs_err(field, out), cfg.tolerance);
+
+    std::vector<uint8_t> inner;
+    ContainerHeader hdr;
+    size_t pos = 0;
+    ASSERT_EQ(open_container(blob.data(), blob.size(), inner, hdr, &pos), Status::ok);
+    ASSERT_GT(hdr.entries.size(), 1u);
+    for (const ChunkEntry& e : hdr.entries) {
+      ByteReader br(inner.data() + pos, e.speck_len);
+      speck::Header sh;
+      ASSERT_EQ(sh.deserialize(br), Status::ok);
+      EXPECT_LE(sh.n_max, 50);
+      clamped |= sh.q > cfg.q_over_t * cfg.tolerance;
+      pos += e.total_len();
+    }
+  }
+  EXPECT_TRUE(clamped) << "no chunk needed the q clamp; raise idx";
 }
 
 TEST(SperrRoundTrip, NonFiniteInputRejected) {

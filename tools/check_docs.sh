@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Documentation consistency checks, run by CI's docs job and the docs_check
 # ctest:
-#   1. every relative markdown link in README.md and docs/*.md resolves to a
-#      file or directory that exists;
-#   2. every `src/...` (also docs/, tools/, bench/, tests/, scripts/) path
-#      README.md or docs/*.md names in backticks exists on disk, so the
-#      architecture table cannot drift from the tree;
+#   1. every relative markdown link in README.md, DESIGN.md, EXPERIMENTS.md
+#      and docs/*.md resolves to a file or directory that exists;
+#   2. every `src/...` (also docs/, tools/, bench/, tests/, scripts/,
+#      examples/, perfbench/) path those files name in backticks exists on
+#      disk, so the architecture tables cannot drift from the tree;
 #   3. docs/PROTOCOL.md carries exactly one machine-readable conformance
 #      block (the hexdump tests/test_server.cpp replays verbatim).
 # External (http/https/mailto) links are not fetched: CI must not depend on
@@ -28,8 +28,10 @@ check_exists() {
   [ -e "$base/$target" ]
 }
 
+DOCS=("$ROOT"/README.md "$ROOT"/DESIGN.md "$ROOT"/EXPERIMENTS.md "$ROOT"/docs/*.md)
+
 # --- 1. relative markdown links ---------------------------------------------
-for f in "$ROOT"/README.md "$ROOT"/docs/*.md; do
+for f in "${DOCS[@]}"; do
   dir="$(dirname "$f")"
   while IFS= read -r link; do
     case "$link" in
@@ -45,7 +47,7 @@ for f in "$ROOT"/README.md "$ROOT"/docs/*.md; do
 done
 
 # --- 2. backticked repo paths -----------------------------------------------
-for f in "$ROOT"/README.md "$ROOT"/docs/*.md; do
+for f in "${DOCS[@]}"; do
   while IFS= read -r path; do
     path="${path%\`}"
     path="${path#\`}"
@@ -55,7 +57,7 @@ for f in "$ROOT"/README.md "$ROOT"/docs/*.md; do
       echo "MISSING PATH: ${f#"$ROOT"/} names \`$path\`"
       fail=1
     fi
-  done < <(grep -o '`\(src\|docs\|tools\|bench\|tests\|scripts\)/[^` ]*`' "$f")
+  done < <(grep -o '`\(src\|docs\|tools\|bench\|tests\|scripts\|examples\|perfbench\)/[^` ]*`' "$f")
 done
 
 # --- 3. PROTOCOL.md conformance block ----------------------------------------
