@@ -75,8 +75,8 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& 
                                                 intra_threads);
     } else {
       const auto budget = size_t(std::llround(cfg.bpp * double(c.dims.total())));
-      streams[i] = pipeline::encode_fixed_rate(buf, c.dims,
-                                               std::max<size_t>(budget, 8), &arena);
+      streams[i] = pipeline::encode_fixed_rate(buf, c.dims, std::max<size_t>(budget, 8),
+                                               &arena, intra_threads);
     }
   }
 

@@ -102,9 +102,8 @@ Status decompress(const uint8_t* stream, size_t nbytes, std::vector<float>& out,
   for (size_t i = 0; i < oc.chunks.size(); ++i) {
     Arena& arena = tls_arena();
     arena.reset();
-    const size_t n = oc.chunks[i].dims.total();
-    double* buf = arena.alloc<double>(n);
-    std::fill(buf, buf + n, 0.0);
+    // decode_chunk writes every sample, damaged or not: no pre-fill.
+    double* buf = arena.alloc<double>(oc.chunks[i].dims.total());
     rep.chunks[i] = detail::decode_chunk(oc, i, Recovery::fail_fast, buf, &arena,
                                          intra_threads);
     scatter_chunk_narrow(buf, oc.chunks[i], out.data(), dims);

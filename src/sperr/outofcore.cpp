@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -162,7 +163,10 @@ Status compress_file(const std::string& in_path, Dims dims, int precision,
 
   // One chunk resident at a time: this loop is deliberately serial over
   // chunks (the input file is the bottleneck); in-memory compression keeps
-  // the chunk-parallel OpenMP path.
+  // the chunk-parallel OpenMP path. A fixed-rate chunk gets the whole
+  // thread budget as lanes, as a single-chunk compress() does.
+  const int lanes =
+      chunk_lanes(sperr::detail::thread_budget(cfg.num_threads), 1, cfg.intra_chunk_threads);
   std::vector<double> buf;
   std::vector<double> means(chunks.size(), 0.0);
   for (size_t i = 0; i < chunks.size(); ++i) {
@@ -177,9 +181,10 @@ Status compress_file(const std::string& in_path, Dims dims, int precision,
     } else if (cfg.mode == Mode::target_rmse) {
       streams[i] = pipeline::encode_target_rmse(buf.data(), chunks[i].dims, cfg.rmse);
     } else {
-      const auto budget = size_t(cfg.bpp * double(chunks[i].dims.total()));
+      // The same rounding as compress(), so both write the same container.
+      const auto budget = size_t(std::llround(cfg.bpp * double(chunks[i].dims.total())));
       streams[i] = pipeline::encode_fixed_rate(buf.data(), chunks[i].dims,
-                                               std::max<size_t>(budget, 8));
+                                               std::max<size_t>(budget, 8), nullptr, lanes);
     }
   }
 

@@ -71,17 +71,18 @@ ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
 }
 
 ChunkStream encode_fixed_rate(const double* data, Dims dims, size_t budget_bits,
-                              Arena* arena) {
+                              Arena* arena, int intra_chunk_threads) {
   ChunkStream result;
   const size_t n = dims.total();
   Arena& a = arena ? *arena : tls_arena();
   Arena::Scope scope(a);
   result.timing.bytes = uint64_t(n) * sizeof(double);
+  const std::unique_ptr<TaskPool> pool = make_pool(intra_chunk_threads);
 
   Timer timer;
   double* coeffs = a.alloc<double>(n);
   std::copy(data, data + n, coeffs);
-  wavelet::forward_dwt(coeffs, dims, wavelet::Kernel::cdf97, &a);
+  wavelet::forward_dwt(coeffs, dims, wavelet::Kernel::cdf97, &a, pool.get());
   result.timing.transform_s = timer.seconds();
 
   // Pick q far below the coefficient scale so the bit budget, not the
@@ -90,8 +91,11 @@ ChunkStream encode_fixed_rate(const double* data, Dims dims, size_t budget_bits,
   for (size_t i = 0; i < n; ++i) max_mag = std::max(max_mag, std::fabs(coeffs[i]));
   const double q = max_mag > 0.0 ? std::ldexp(max_mag, -50) : 1.0;
 
+  // The budgeted sweep itself is serial; the lanes run its plane scan and
+  // set-tree build.
   timer.reset();
-  result.speck = speck::encode(coeffs, dims, q, budget_bits, &result.speck_stats);
+  result.speck = speck::encode(coeffs, dims, q, budget_bits, &result.speck_stats,
+                               nullptr, 1, pool.get());
   result.timing.speck_s = timer.seconds();
   return result;
 }

@@ -54,10 +54,11 @@ ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
 
 /// Size-bounded encode: the SPECK stream is truncated at `budget_bits`.
 /// No outlier correction (no error bound), matching classic SPECK / the
-/// paper's fixed-size mode. (The budgeted coder must stop on the exact
-/// budget bit and is inherently serial, so it takes no thread knob.)
+/// paper's fixed-size mode. The budgeted coder must stop on the exact
+/// budget bit, so its sweep is serial; the lanes run the wavelet passes
+/// and the coder's plane scan and set-tree build.
 ChunkStream encode_fixed_rate(const double* data, Dims dims, size_t budget_bits,
-                              Arena* arena = nullptr);
+                              Arena* arena = nullptr, int intra_chunk_threads = 1);
 
 /// Average-error-targeted encode (paper §VII): pick the quantization step
 /// from the RMSE target via the unit-norm wavelet's error equivalence; all

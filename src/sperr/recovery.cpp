@@ -266,8 +266,8 @@ Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy
   for (size_t i = 0; i < oc.chunks.size(); ++i) {
     Arena& arena = tls_arena();
     arena.reset();
+    // decode_chunk writes every sample, damaged or not: no pre-fill.
     double* buf = arena.alloc<double>(oc.chunks[i].dims.total());
-    std::fill(buf, buf + oc.chunks[i].dims.total(), 0.0);
     rep.chunks[i] = detail::decode_chunk(oc, i, policy, buf, &arena, intra_threads);
     scatter_chunk(buf, oc.chunks[i], out.data(), dims);
   }

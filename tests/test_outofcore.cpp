@@ -169,6 +169,25 @@ TEST(OutOfCore, FixedRateFiles) {
   EXPECT_LE(stats.bpp, 2.3);
 }
 
+TEST(OutOfCore, FixedRateContainerMatchesInMemoryPath) {
+  // bpp * n = 65536.655...: a budget with a fraction >= .5 must round the
+  // same way on both paths, so the containers are the same bytes.
+  const Dims dims{32, 32, 32};
+  const auto field = data::s3d_temperature(dims);
+  TempFile raw(".raw"), packed(".sperr");
+  write_raw(raw.path(), field, 8);
+
+  Config cfg;
+  cfg.mode = Mode::fixed_rate;
+  cfg.bpp = 2.00002;
+  ASSERT_GE(std::fmod(cfg.bpp * double(dims.total()), 1.0), 0.5);
+  ASSERT_EQ(compress_file(raw.path(), dims, 8, cfg, packed.path()), Status::ok);
+  std::ifstream in(packed.path(), std::ios::binary);
+  const std::vector<uint8_t> from_file{std::istreambuf_iterator<char>(in),
+                                       std::istreambuf_iterator<char>()};
+  EXPECT_EQ(from_file, compress(field.data(), dims, cfg));
+}
+
 TEST(OutOfCore, SizeMismatchRejected) {
   const Dims dims{16, 16, 16};
   const auto field = data::s3d_ch4(dims);

@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -469,6 +472,133 @@ TEST(SpeckFast, DecoderMatchesReferenceBeyondFiftyPlanes) {
       expect_decode_stats_equal(ds, ref_ds);
       ASSERT_EQ(out, ref_out);
     }
+  }
+}
+
+TEST(SpeckFast, TopPlaneNoEncoderMakesIsRejected) {
+  // |c| / q of finite doubles stays below 2^2098, so a header whose top
+  // plane is 2098 or more is corrupt, and is refused before any plane is
+  // read: a zero payload, one root bit per plane, cannot make the decoder
+  // keep a record per plane. The highest reachable plane still decodes as
+  // the reference decodes it.
+  const Dims dims{4, 4, 2};
+  Header h;
+  h.q = std::ldexp(1.0, -1074);
+  h.nbits = uint64_t(1) << 16;
+  std::vector<double> out(dims.total()), ref_out(dims.total());
+  for (const int32_t n_max : {std::numeric_limits<int32_t>::max(), 2098, 2097}) {
+    SCOPED_TRACE("n_max=" + std::to_string(n_max));
+    h.n_max = n_max;
+    std::vector<uint8_t> stream;
+    h.serialize(stream);
+    stream.resize(stream.size() + h.nbits / 8, 0);
+    DecodeStats ds, ref_ds;
+    const Status s = decode(stream.data(), stream.size(), dims, out.data(), &ds);
+    if (n_max > 2097) {
+      EXPECT_EQ(s, Status::corrupt_stream);
+      continue;
+    }
+    ASSERT_EQ(s, Status::ok);
+    ASSERT_EQ(decode_reference(stream.data(), stream.size(), dims, ref_out.data(), &ref_ds),
+              Status::ok);
+    expect_decode_stats_equal(ds, ref_ds);
+    EXPECT_EQ(ds.bits_consumed, 2098u);
+    EXPECT_EQ(out, ref_out);
+  }
+}
+
+/// `stream` with its header's payload length set to `nbits`: an exact
+/// bit-prefix of the embedded stream.
+std::vector<uint8_t> with_payload_bits(std::vector<uint8_t> stream, uint64_t nbits) {
+  ByteReader br(stream.data(), stream.size());
+  Header h;
+  EXPECT_EQ(h.deserialize(br), Status::ok);
+  h.nbits = nbits;
+  std::vector<uint8_t> head;
+  h.serialize(head);
+  std::copy(head.begin(), head.end(), stream.begin());
+  return stream;
+}
+
+/// Decode the first `nbytes` of `stream` on each of `pools` (one per
+/// kThreadWall lane count) and require the reference decoder's status,
+/// values and DecodeStats.
+void expect_decodes_as_reference(const std::vector<uint8_t>& stream, size_t nbytes,
+                                 Dims dims,
+                                 const std::vector<std::unique_ptr<TaskPool>>& pools) {
+  std::vector<double> ref_out(dims.total()), out(dims.total());
+  DecodeStats ref_ds;
+  const Status rs = decode_reference(stream.data(), nbytes, dims, ref_out.data(), &ref_ds);
+  for (size_t k = 0; k < pools.size(); ++k) {
+    SCOPED_TRACE("lanes=" + std::to_string(kThreadWall[k]));
+    std::fill(out.begin(), out.end(), -1.0);  // every coefficient must be written
+    DecodeStats ds;
+    ASSERT_EQ(decode(stream.data(), nbytes, dims, out.data(), &ds, 1, pools[k].get()), rs);
+    if (rs != Status::ok) continue;
+    expect_decode_stats_equal(ds, ref_ds);
+    ASSERT_EQ(out, ref_out);
+  }
+}
+
+std::vector<std::unique_ptr<TaskPool>> thread_wall_pools() {
+  std::vector<std::unique_ptr<TaskPool>> pools;
+  for (const int t : kThreadWall) pools.push_back(make_pool(t));
+  return pools;
+}
+
+TEST(SpeckFast, EveryPrefixDecodesAsReference) {
+  // Every byte prefix, and every bit prefix (the header's payload length
+  // patched), of two small fields, at every lane count: the cut lands
+  // inside sorting passes, on sign bits (the coefficient is dropped),
+  // inside refinement passes and on their last bits.
+  const auto pools = thread_wall_pools();
+  const struct {
+    Dims dims;
+    double q;
+    uint64_t seed;
+  } fields[] = {{{8, 8, 4}, 0.5, 601}, {{5, 7, 3}, 0.25, 602}};
+  for (const auto& f : fields) {
+    SCOPED_TRACE(f.dims.to_string());
+    const auto coeffs = adversarial_coeffs(f.dims, f.seed, f.q);
+    EncodeStats es;
+    const auto stream = encode(coeffs.data(), f.dims, f.q, 0, &es);
+    ASSERT_GT(es.payload_bits, 200u);
+    for (size_t nbytes = 0; nbytes <= stream.size(); ++nbytes) {
+      SCOPED_TRACE("nbytes=" + std::to_string(nbytes));
+      expect_decodes_as_reference(stream, nbytes, f.dims, pools);
+    }
+    for (size_t nbits = 0; nbits <= es.payload_bits; ++nbits) {
+      SCOPED_TRACE("nbits=" + std::to_string(nbits));
+      expect_decodes_as_reference(with_payload_bits(stream, nbits), stream.size(),
+                                  f.dims, pools);
+    }
+  }
+}
+
+TEST(SpeckFast, LaneSplitReconstructMatchesReference) {
+  // Enough significant coefficients (over the decoder's 2^14 parallel
+  // grain) that the reconstruct is split across lanes: the full stream and
+  // cuts in the middle of the last planes' sorting and refinement passes.
+  const auto pools = thread_wall_pools();
+  const Dims dims{64, 64, 64};
+  const double q = 0.01;
+  const auto coeffs = adversarial_coeffs(dims, 603, q);
+  EncodeStats es;
+  const auto stream = encode(coeffs.data(), dims, q, 0, &es);
+  ASSERT_GT(es.significant_count, size_t(1) << 16);
+  std::vector<uint64_t> cuts = {es.payload_bits};
+  uint64_t pos = 0;
+  for (const PassTiming& p : es.passes) {
+    cuts.push_back(pos + p.sorting_bits / 2);
+    cuts.push_back(pos + p.sorting_bits + p.refinement_bits / 2);
+    pos += p.sorting_bits + p.refinement_bits;
+  }
+  ASSERT_EQ(pos, es.payload_bits);
+  cuts.erase(cuts.begin() + 1, cuts.end() - 6);  // the last three planes
+  for (const uint64_t nbits : cuts) {
+    SCOPED_TRACE("nbits=" + std::to_string(nbits));
+    expect_decodes_as_reference(with_payload_bits(stream, nbits), stream.size(), dims,
+                                pools);
   }
 }
 

@@ -81,44 +81,50 @@ TEST(ThreadRule, LanesAndTeamSplitTheBudget) {
 TEST(SperrRoundTrip, ContainerIdenticalAcrossThreadsAndChunks) {
   // Whatever the budget's split into a chunk team and per-chunk lanes, the
   // container is the same bytes, and its chunks decode bit-identically at
-  // any lane count.
+  // any lane count — in PWE mode and in fixed-rate mode, whose budgeted
+  // sweep stays serial while its lanes run the rest of the chunk.
   const Dims dims{48, 40, 36};
   const auto field = data::miranda_pressure(dims);
   const double t = tolerance_from_idx(field.data(), field.size(), 14);
   const Dims chunkings[] = {{48, 40, 36}, {48, 40, 18}, {24, 20, 18}};  // 1, 2, 8
-  for (const Dims chunk : chunkings) {
-    SCOPED_TRACE("chunk " + chunk.to_string());
-    Config cfg;
-    cfg.tolerance = t;
-    cfg.chunk_dims = chunk;
-    std::vector<uint8_t> first;
-    for (const int threads : {1, 2, 4}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      cfg.num_threads = threads;
-      const auto blob = compress(field.data(), dims, cfg);
-      if (first.empty()) first = blob;
-      ASSERT_EQ(blob, first) << "container bytes depend on the thread budget";
-    }
+  for (const Mode mode : {Mode::pwe, Mode::fixed_rate}) {
+    for (const Dims chunk : chunkings) {
+      SCOPED_TRACE(std::string(mode == Mode::pwe ? "pwe" : "fixed rate") + ", chunk " +
+                   chunk.to_string());
+      Config cfg;
+      cfg.mode = mode;
+      cfg.tolerance = t;
+      cfg.bpp = 3.3;
+      cfg.chunk_dims = chunk;
+      std::vector<uint8_t> first;
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        cfg.num_threads = threads;
+        const auto blob = compress(field.data(), dims, cfg);
+        if (first.empty()) first = blob;
+        ASSERT_EQ(blob, first) << "container bytes depend on the thread budget";
+      }
 
-    std::vector<double> recon;
-    Dims out_dims;
-    ASSERT_EQ(decompress(first.data(), first.size(), recon, out_dims), Status::ok);
-    EXPECT_LE(max_abs_err(field, recon), t);
-    detail::OpenedContainer oc;
-    ASSERT_EQ(detail::open_tolerant(first.data(), first.size(), Recovery::fail_fast,
-                                    oc, nullptr),
-              Status::ok);
-    for (size_t i = 0; i < oc.chunks.size(); ++i) {
-      std::vector<double> serial(oc.chunks[i].dims.total());
-      ASSERT_FALSE(detail::decode_chunk(oc, i, Recovery::fail_fast, serial.data(),
-                                        nullptr, 1)
-                       .damaged());
-      for (const int lanes : {2, 4}) {
-        std::vector<double> par(serial.size());
-        ASSERT_FALSE(detail::decode_chunk(oc, i, Recovery::fail_fast, par.data(),
-                                          nullptr, lanes)
+      std::vector<double> recon;
+      Dims out_dims;
+      ASSERT_EQ(decompress(first.data(), first.size(), recon, out_dims), Status::ok);
+      if (mode == Mode::pwe) EXPECT_LE(max_abs_err(field, recon), t);
+      detail::OpenedContainer oc;
+      ASSERT_EQ(detail::open_tolerant(first.data(), first.size(), Recovery::fail_fast,
+                                      oc, nullptr),
+                Status::ok);
+      for (size_t i = 0; i < oc.chunks.size(); ++i) {
+        std::vector<double> serial(oc.chunks[i].dims.total());
+        ASSERT_FALSE(detail::decode_chunk(oc, i, Recovery::fail_fast, serial.data(),
+                                          nullptr, 1)
                          .damaged());
-        ASSERT_EQ(par, serial) << "chunk " << i << " at " << lanes << " lanes";
+        for (const int lanes : {2, 4}) {
+          std::vector<double> par(serial.size());
+          ASSERT_FALSE(detail::decode_chunk(oc, i, Recovery::fail_fast, par.data(),
+                                            nullptr, lanes)
+                           .damaged());
+          ASSERT_EQ(par, serial) << "chunk " << i << " at " << lanes << " lanes";
+        }
       }
     }
   }
