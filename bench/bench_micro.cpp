@@ -33,6 +33,7 @@
 #include "data/synthetic.h"
 #include "lossless/codec.h"
 #include "oracles/dwt_reference.h"
+#include "oracles/lossless_reference.h"
 #include "oracles/speck_reference.h"
 #include "outlier/coder.h"
 #include "speck/decoder.h"

@@ -64,6 +64,7 @@
 #include "server/metrics.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "sperr/header.h"
 #include "sperr/sperr.h"
 
 namespace {
@@ -366,27 +367,18 @@ struct HardeningResult {
   bool budget_enforced_ok = false;
 };
 
-/// 96-byte v2 container declaring 2^21 x 2^21 x 1 doubles (32 TiB).
+/// 120-byte v3 container declaring 2^21 x 2^21 x 1 doubles (32 TiB): a
+/// well-formed header (serialize() computes its self-checksum) with one empty
+/// chunk entry, so resource admission is what refuses it.
 std::vector<uint8_t> bomb_container() {
+  sperr::ContainerHeader hdr;
+  hdr.dims = Dims{size_t(1) << 21, size_t(1) << 21, 1};
+  hdr.chunk_dims = Dims{256, 256, 256};
+  hdr.quality = 1e-6;
+  hdr.entries = {sperr::ChunkEntry(0, 0)};
   std::vector<uint8_t> inner;
-  sperr::put_u32(inner, 0x43525053);  // 'SPRC'
-  sperr::put_u8(inner, 0);            // mode = pwe
-  sperr::put_u8(inner, 8);            // precision = f64
-  sperr::put_u64(inner, uint64_t(1) << 21);
-  sperr::put_u64(inner, uint64_t(1) << 21);
-  sperr::put_u64(inner, 1);
-  for (int i = 0; i < 3; ++i) sperr::put_u64(inner, 256);  // chunk dims
-  sperr::put_f64(inner, 1e-6);
-  sperr::put_u32(inner, 1);  // nchunks
-  sperr::put_u64(inner, 0);  // entry 0: speck_len
-  sperr::put_u64(inner, 0);  // entry 0: outlier_len
-  std::vector<uint8_t> out;
-  sperr::put_u32(out, 0x5a525053);  // 'SPRZ'
-  sperr::put_u8(out, 2);
-  sperr::put_u8(out, 0);
-  sperr::put_u64(out, inner.size());
-  out.insert(out.end(), inner.begin(), inner.end());
-  return out;
+  hdr.serialize(inner);
+  return sperr::wrap_container(std::move(inner), /*lossless=*/false);
 }
 
 /// STATS over a raw connection, parsed into a snapshot.

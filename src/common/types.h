@@ -65,6 +65,8 @@ enum class Status {
   resource_exhausted,  ///< header-declared output/working set exceeds the decoder's
                        ///< configured ResourceLimits (common/resource.h) — the bytes
                        ///< may be well-formed, but decoding them is not affordable
+  unsupported_version,  ///< a container version or lossless format this build does
+                        ///< not read (only the current one is; docs/FORMAT.md)
 };
 
 [[nodiscard]] constexpr const char* to_string(Status s) {
@@ -76,6 +78,7 @@ enum class Status {
     case Status::corrupt_block: return "corrupt_block";
     case Status::corrupt_chunk: return "corrupt_chunk";
     case Status::resource_exhausted: return "resource_exhausted";
+    case Status::unsupported_version: return "unsupported_version";
   }
   return "unknown";
 }

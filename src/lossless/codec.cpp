@@ -7,6 +7,7 @@
 #include "common/bitstream.h"
 #include "common/byteio.h"
 #include "common/checksum.h"
+#include "lossless/alphabet.h"
 #include "lossless/arith.h"
 #include "lossless/huffman.h"
 #include "lossless/lz77.h"
@@ -19,25 +20,16 @@ namespace sperr::lossless {
 
 namespace {
 
-// Per-block payload modes of the format-2 framing (also the leading byte of
-// reference streams).
-constexpr uint8_t kModeRaw = 0;
-constexpr uint8_t kModeLz = 1;
-// Stream format bytes of the blocked framings. Reference streams start with
-// kModeRaw/kModeLz, so 2/3 unambiguously select a blocked container:
-// format 2 prefixes every block payload with a mode byte, format 3 moves
-// that information into a 2-bit entropy tag in the directory (and adds the
-// arithmetic entropy path).
-constexpr uint8_t kFmtBlocked = 2;
-constexpr uint8_t kFmtBlockedTagged = 3;
+// The stream format byte: the only framing this build writes and reads.
+// Formats 0-2 (the single-stream reference framing and the untagged block
+// framing) are retired and refused as unsupported_version.
+constexpr uint8_t kFormat = 3;
 
 constexpr size_t kMinBlockSize = size_t(1) << 12;
-// Format 3 packs the entropy tag into the top 2 bits of the directory's
-// compressed-size field, so compressed sizes (<= block size) must fit in 30
-// bits; 256 MiB blocks keep a safe margin. Format-2 streams written before
-// this limit (up to 1 GiB) still decode.
+// The entropy tag takes the top 2 bits of the directory's compressed-size
+// field, so compressed sizes (<= block size) must fit in 30 bits; 256 MiB
+// blocks keep a safe margin.
 constexpr size_t kMaxBlockSize = size_t(1) << 28;
-constexpr size_t kMaxBlockSizeLegacy = size_t(1) << 30;
 
 // fmt + reserved + block_size(u32) + raw_size(u64) + nblocks(u32).
 constexpr size_t kBlockedHeaderBytes = 18;
@@ -55,27 +47,6 @@ constexpr uint32_t kCompSizeMask = (uint32_t(1) << kTagShift) - 1;
 // and a block's raw size never exceeds the stream's block size.
 constexpr uint64_t kMaxExpansion = 4096;
 
-// Deflate-style length/distance code tables (RFC 1951 §3.2.5).
-constexpr int kNumLenCodes = 29;
-constexpr uint16_t kLenBase[kNumLenCodes] = {
-    3,  4,  5,  6,  7,  8,  9,  10, 11,  13,  15,  17,  19,  23, 27,
-    31, 35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258};
-constexpr uint8_t kLenExtra[kNumLenCodes] = {0, 0, 0, 0, 0, 0, 0, 0, 1, 1,
-                                             1, 1, 2, 2, 2, 2, 3, 3, 3, 3,
-                                             4, 4, 4, 4, 5, 5, 5, 5, 0};
-
-constexpr int kNumDistCodes = 30;
-constexpr uint32_t kDistBase[kNumDistCodes] = {
-    1,    2,    3,    4,    5,    7,     9,     13,    17,    25,
-    33,   49,   65,   97,   129,  193,   257,   385,   513,   769,
-    1025, 1537, 2049, 3073, 4097, 6145,  8193,  12289, 16385, 24577};
-constexpr uint8_t kDistExtra[kNumDistCodes] = {0, 0, 0,  0,  1,  1,  2,  2,  3,  3,
-                                               4, 4, 5,  5,  6,  6,  7,  7,  8,  8,
-                                               9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
-
-constexpr uint32_t kEob = 256;           // end-of-block symbol
-constexpr size_t kLitAlphabet = 286;     // 0..255 literals, 256 EOB, 257..285 lengths
-
 constexpr size_t kLitLenBytes = (kLitAlphabet + 1) / 2;    // packed 4 bits each
 constexpr size_t kDistLenBytes = (kNumDistCodes + 1) / 2;  // 143 + 15 = 158
 
@@ -86,18 +57,6 @@ constexpr size_t kArithModelBytes = 2 * (kLitAlphabet + kNumDistCodes);
 // No valid arithmetic block payload is smaller than its model header,
 // which bounds adversarial expansion claims.
 constexpr size_t kMinArithBytes = kArithModelBytes;
-
-int length_code(uint32_t len) {
-  for (int i = kNumLenCodes - 1; i >= 0; --i)
-    if (len >= kLenBase[i]) return i;
-  return 0;
-}
-
-int distance_code(uint32_t dist) {
-  for (int i = kNumDistCodes - 1; i >= 0; --i)
-    if (dist >= kDistBase[i]) return i;
-  return 0;
-}
 
 // O(1) symbol lookup replacing the linear searches above on the hot paths.
 // Distances above 256 bucket by (d - 1) >> 7: every distance base past 256 is
@@ -122,25 +81,6 @@ const CodeLut& code_lut() {
 
 inline uint32_t fast_distance_code(const CodeLut& lut, uint32_t dist) {
   return dist <= 256 ? lut.dist_small[dist] : lut.dist_large[(dist - 1) >> 7];
-}
-
-// Code lengths are 0..15 so two fit per byte.
-void pack_lengths(std::vector<uint8_t>& out, const std::vector<uint8_t>& lengths) {
-  for (size_t i = 0; i < lengths.size(); i += 2) {
-    const uint8_t lo = lengths[i];
-    const uint8_t hi = i + 1 < lengths.size() ? lengths[i + 1] : 0;
-    out.push_back(uint8_t(lo | (hi << 4)));
-  }
-}
-
-std::vector<uint8_t> unpack_lengths(ByteReader& br, size_t count) {
-  std::vector<uint8_t> lengths(count, 0);
-  for (size_t i = 0; i < count; i += 2) {
-    const uint8_t b = br.u8();
-    lengths[i] = b & 0x0f;
-    if (i + 1 < count) lengths[i + 1] = b >> 4;
-  }
-  return lengths;
 }
 
 void unpack_lengths_raw(const uint8_t* p, uint8_t* lengths, size_t count) {
@@ -586,17 +526,19 @@ Status decode_block(uint8_t tag, const uint8_t* p, size_t comp, uint8_t* dst,
   }
 }
 
-/// Parse + validate the blocked framing and directory (formats 2 and 3).
-/// Fills `info` (offsets, per-block raw sizes, entropy tags) without
-/// decoding any payload. `tolerant` relaxes the payload-extent checks
-/// (truncated or shifted payloads parse; per-block bounds are enforced at
-/// decode time instead) — the header and directory must still be fully
-/// present and plausible either way.
-Status parse_blocked(const uint8_t* data, size_t size, StreamInfo& info,
-                     bool tolerant = false) {
+/// Parse + validate the stream header and block directory. Fills `info`
+/// (offsets, per-block raw sizes, entropy tags) without decoding any
+/// payload. A format byte other than kFormat is a retired (or unknown)
+/// framing: unsupported_version, before anything else is read. `tolerant`
+/// relaxes the payload-extent checks (truncated or shifted payloads parse;
+/// per-block bounds are enforced at decode time instead) — the header and
+/// directory must still be fully present and plausible either way.
+Status parse_stream(const uint8_t* data, size_t size, StreamInfo& info,
+                    bool tolerant = false) {
+  if (size == 0) return Status::truncated_stream;
+  if (data[0] != kFormat) return Status::unsupported_version;
   ByteReader hdr(data, size);
-  const uint8_t fmt = hdr.u8();
-  const bool tagged = fmt == kFmtBlockedTagged;
+  (void)hdr.u8();
   const uint8_t reserved = hdr.u8();
   const uint32_t bs32 = hdr.u32();
   const uint64_t raw_size = hdr.u64();
@@ -605,26 +547,19 @@ Status parse_blocked(const uint8_t* data, size_t size, StreamInfo& info,
   if (reserved != 0) return Status::corrupt_stream;
 
   const size_t bs = bs32;
-  if (bs < kMinBlockSize || bs > (tagged ? kMaxBlockSize : kMaxBlockSizeLegacy))
-    return Status::corrupt_stream;
+  if (bs < kMinBlockSize || bs > kMaxBlockSize) return Status::corrupt_stream;
   const uint64_t want_nb = raw_size == 0 ? 0 : (raw_size - 1) / bs + 1;
   if (nb != want_nb) return Status::corrupt_stream;
   if (uint64_t(nb) * kDirEntryBytes > hdr.remaining()) return Status::truncated_stream;
 
-  info.blocked = true;
-  info.tagged = tagged;
   info.raw_size = raw_size;
   info.block_size = bs;
   info.blocks.resize(nb);
   uint64_t payload_total = 0;
   for (uint32_t b = 0; b < nb; ++b) {
     const uint32_t word = hdr.u32();
-    if (tagged) {
-      info.blocks[b].comp_size = word & kCompSizeMask;
-      info.blocks[b].mode = uint8_t(word >> kTagShift);
-    } else {
-      info.blocks[b].comp_size = word;
-    }
+    info.blocks[b].comp_size = word & kCompSizeMask;
+    info.blocks[b].mode = uint8_t(word >> kTagShift);
     info.blocks[b].checksum = hdr.u64();
     payload_total += info.blocks[b].comp_size;
   }
@@ -647,34 +582,18 @@ Status parse_blocked(const uint8_t* data, size_t size, StreamInfo& info,
     bi.offset = off;
     off += bi.comp_size;
     bi.raw_size = b + 1 < nb ? bs : raw_size - uint64_t(bs) * (nb - 1);
-    if (!tagged)
-      bi.mode = bi.comp_size > 0 && bi.offset < size ? data[bi.offset] : 0;
     if (tolerant) continue;
     // Directory entries promising implausible expansion are rejected before
     // any allocation is sized from them (tolerant decoding instead marks the
     // block bad when its payload turns out undecodable). Arithmetic blocks
     // instead carry a hard payload floor: the 632-byte model header.
-    if (tagged && bi.mode == kEntropyArith) {
+    if (bi.mode == kEntropyArith) {
       if (bi.comp_size < kMinArithBytes) return Status::corrupt_stream;
     } else if (bi.raw_size > uint64_t(bi.comp_size) * kMaxExpansion + 64) {
       return Status::corrupt_stream;
     }
   }
   return Status::ok;
-}
-
-/// Decode one parsed block into `dst`; shared by strict and tolerant paths.
-Status decode_parsed_block(const uint8_t* data, const StreamInfo& info,
-                           const BlockInfo& bi, uint8_t* dst, DecScratch& ds) {
-  const size_t raw = size_t(bi.raw_size);
-  if (info.tagged)
-    return decode_block(bi.mode, data + bi.offset, bi.comp_size, dst, raw, ds);
-  // Format 2: the mode byte leads the payload and only raw/Huffman exist.
-  if (bi.comp_size < 1) return Status::truncated_stream;
-  const uint8_t mode = data[bi.offset];
-  if (mode != kModeRaw && mode != kModeLz) return Status::corrupt_stream;
-  return decode_block(mode == kModeRaw ? kEntropyRaw : kEntropyHuffman,
-                      data + bi.offset + 1, bi.comp_size - 1, dst, raw, ds);
 }
 
 }  // namespace
@@ -705,7 +624,7 @@ std::vector<uint8_t> compress(const uint8_t* data, size_t size, const EncodeOpti
   for (const auto& p : blocks) total += p.payload.size();
   std::vector<uint8_t> out;
   out.reserve(total);
-  out.push_back(kFmtBlockedTagged);
+  out.push_back(kFormat);
   out.push_back(0);  // reserved
   put_u32(out, uint32_t(bs));
   put_u64(out, size);
@@ -723,14 +642,8 @@ Status decompress(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
                   size_t* corrupt_block, int num_threads,
                   const ResourceLimits* limits) {
   (void)num_threads;
-  if (size == 0) return Status::truncated_stream;
-  const uint8_t fmt = data[0];
-  if (fmt == kModeRaw || fmt == kModeLz)
-    return decode_reference(data, size, out, limits);
-  if (fmt != kFmtBlocked && fmt != kFmtBlockedTagged) return Status::corrupt_stream;
-
   StreamInfo info;
-  const Status parsed = parse_blocked(data, size, info);
+  const Status parsed = parse_stream(data, size, info);
   if (parsed != Status::ok) return parsed;
 
   // The header's raw size is the only thing allocation is based on, and it
@@ -756,7 +669,8 @@ Status decompress(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
     const BlockInfo& bi = info.blocks[size_t(b)];
     const size_t start = size_t(b) * info.block_size;
     thread_local DecScratch scratch;
-    Status st = decode_parsed_block(data, info, bi, out.data() + start, scratch);
+    Status st = decode_block(bi.mode, data + bi.offset, bi.comp_size,
+                             out.data() + start, size_t(bi.raw_size), scratch);
     if (st == Status::ok &&
         xxhash64(out.data() + start, size_t(bi.raw_size)) != bi.checksum)
       st = Status::corrupt_block;
@@ -778,18 +692,8 @@ Status decompress_tolerant(const uint8_t* data, size_t size, std::vector<uint8_t
   (void)num_threads;
   bad_blocks.clear();
   out.clear();
-  if (size == 0) return Status::truncated_stream;
-  const uint8_t fmt = data[0];
-  // Reference framing carries no block structure: all-or-nothing.
-  if (fmt == kModeRaw || fmt == kModeLz) {
-    const Status s = decode_reference(data, size, out, limits);
-    if (s != Status::ok) out.clear();
-    return s;
-  }
-  if (fmt != kFmtBlocked && fmt != kFmtBlockedTagged) return Status::corrupt_stream;
-
   StreamInfo info;
-  const Status parsed = parse_blocked(data, size, info, /*tolerant=*/true);
+  const Status parsed = parse_stream(data, size, info, /*tolerant=*/true);
   if (parsed != Status::ok) return parsed;
 
   const ResourceLimits& rl = effective_limits(limits);
@@ -818,7 +722,8 @@ Status decompress_tolerant(const uint8_t* data, size_t size, std::vector<uint8_t
       st = Status::truncated_stream;  // payload cut off under this block
     } else {
       thread_local DecScratch scratch;
-      st = decode_parsed_block(data, info, bi, dst, scratch);
+      st = decode_block(bi.mode, data + bi.offset, bi.comp_size, dst,
+                        size_t(bi.raw_size), scratch);
     }
     if (st != Status::ok) std::fill(dst, dst + size_t(bi.raw_size), uint8_t(0));
     if (st == Status::ok && xxhash64(dst, size_t(bi.raw_size)) != bi.checksum)
@@ -833,136 +738,7 @@ Status decompress_tolerant(const uint8_t* data, size_t size, std::vector<uint8_t
 
 Status inspect(const uint8_t* data, size_t size, StreamInfo& info) {
   info = StreamInfo{};
-  if (size == 0) return Status::truncated_stream;
-  const uint8_t fmt = data[0];
-  if (fmt == kModeRaw || fmt == kModeLz) {
-    ByteReader hdr(data, size);
-    (void)hdr.u8();
-    info.raw_size = hdr.u64();
-    if (!hdr.ok()) return Status::truncated_stream;
-    return Status::ok;
-  }
-  if (fmt != kFmtBlocked && fmt != kFmtBlockedTagged) return Status::corrupt_stream;
-  return parse_blocked(data, size, info);
-}
-
-// ---------------------------------------------------------------------------
-// Reference single-block codec (the pre-block-rewrite format, kept verbatim
-// as the differential-test oracle and serial benchmark baseline).
-// ---------------------------------------------------------------------------
-
-std::vector<uint8_t> encode_reference(const uint8_t* data, size_t size) {
-  const std::vector<Token> tokens = lz77_tokenize(data, size);
-
-  // Token symbol frequencies for both Huffman tables.
-  std::vector<uint64_t> lit_freq(kLitAlphabet, 0);
-  std::vector<uint64_t> dist_freq(kNumDistCodes, 0);
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      ++lit_freq[t.literal];
-    } else {
-      ++lit_freq[257 + size_t(length_code(t.length))];
-      ++dist_freq[size_t(distance_code(t.distance))];
-    }
-  }
-  ++lit_freq[kEob];
-
-  // 15-bit limit: the header packs code lengths into 4 bits each.
-  const auto lit_lengths = huffman_code_lengths(lit_freq, 15);
-  const auto dist_lengths = huffman_code_lengths(dist_freq, 15);
-  const HuffmanEncoder lit_enc(lit_lengths);
-  const HuffmanEncoder dist_enc(dist_lengths);
-
-  std::vector<uint8_t> out;
-  out.push_back(kModeLz);
-  put_u64(out, size);
-  pack_lengths(out, lit_lengths);
-  pack_lengths(out, dist_lengths);
-
-  BitWriter bw;
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      lit_enc.encode(bw, t.literal);
-      continue;
-    }
-    const int lc = length_code(t.length);
-    lit_enc.encode(bw, uint32_t(257 + lc));
-    bw.put_bits(t.length - kLenBase[lc], kLenExtra[lc]);
-    const int dc = distance_code(t.distance);
-    dist_enc.encode(bw, uint32_t(dc));
-    bw.put_bits(t.distance - kDistBase[dc], kDistExtra[dc]);
-  }
-  lit_enc.encode(bw, kEob);
-
-  const auto& payload = bw.bytes();
-  if (out.size() + payload.size() >= size + 9) {
-    // Entropy coding did not pay off; store raw.
-    std::vector<uint8_t> raw;
-    raw.reserve(size + 9);
-    raw.push_back(kModeRaw);
-    put_u64(raw, size);
-    raw.insert(raw.end(), data, data + size);
-    return raw;
-  }
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-Status decode_reference(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
-                        const ResourceLimits* limits) {
-  ByteReader hdr(data, size);
-  const uint8_t mode = hdr.u8();
-  const uint64_t raw_size = hdr.u64();
-  if (!hdr.ok()) return Status::corrupt_stream;
-
-  const ResourceLimits& rl = effective_limits(limits);
-  if (!rl.admits_output(raw_size) || !rl.admits_expansion(size, raw_size))
-    return Status::resource_exhausted;
-
-  if (mode == kModeRaw) {
-    const uint8_t* p = hdr.raw(raw_size);
-    if (!p) return Status::truncated_stream;
-    out.assign(p, p + raw_size);
-    return Status::ok;
-  }
-  if (mode != kModeLz) return Status::corrupt_stream;
-
-  const auto lit_lengths = unpack_lengths(hdr, kLitAlphabet);
-  const auto dist_lengths = unpack_lengths(hdr, kNumDistCodes);
-  if (!hdr.ok()) return Status::truncated_stream;
-
-  const HuffmanDecoder lit_dec(lit_lengths);
-  const HuffmanDecoder dist_dec(dist_lengths);
-  if (!lit_dec.valid()) return Status::corrupt_stream;
-
-  BitReader br(data + hdr.pos(), size - hdr.pos());
-  out.clear();
-  // raw_size is untrusted: cap the speculative reserve, and bail out if the
-  // token stream tries to grow past the promised size (corrupt stream).
-  out.reserve(size_t(std::min<uint64_t>(raw_size, uint64_t(1) << 24)));
-  while (true) {
-    if (out.size() > raw_size) return Status::corrupt_stream;
-    const int32_t sym = lit_dec.decode(br);
-    if (sym < 0) return Status::truncated_stream;
-    if (sym == int32_t(kEob)) break;
-    if (sym < 256) {
-      out.push_back(uint8_t(sym));
-      continue;
-    }
-    const int lc = sym - 257;
-    if (lc >= kNumLenCodes) return Status::corrupt_stream;
-    const uint32_t len = kLenBase[lc] + uint32_t(br.get_bits(kLenExtra[lc]));
-    const int32_t dc = dist_dec.decode(br);
-    if (dc < 0 || dc >= kNumDistCodes) return Status::corrupt_stream;
-    const uint32_t dist = kDistBase[dc] + uint32_t(br.get_bits(kDistExtra[dc]));
-    if (br.exhausted()) return Status::truncated_stream;
-    if (dist == 0 || dist > out.size()) return Status::corrupt_stream;
-    if (out.size() + len > raw_size) return Status::corrupt_stream;
-    const size_t start = out.size() - dist;
-    for (uint32_t i = 0; i < len; ++i) out.push_back(out[start + i]);
-  }
-  if (out.size() != raw_size) return Status::corrupt_stream;
-  return Status::ok;
+  return parse_stream(data, size, info);
 }
 
 }  // namespace sperr::lossless

@@ -17,15 +17,17 @@
 // tokens to a sink that feeds the entropy coder's bit writer directly — no
 // materialized token array, bounded memory per worker.
 //
-// The pre-existing single-shot whole-input codec survives as
-// encode_reference / decode_reference: it is the equivalence oracle for the
-// differential tests and the serial baseline in bench_micro
-// --lossless_json. decompress() accepts both framings (it dispatches on the
-// leading format byte).
+// The stream's leading format byte is 3, the only framing written and read.
+// Streams of the retired formats 0-2 (the single-stream reference framing
+// and the untagged block framing, written only by earlier development
+// builds) are refused as Status::unsupported_version. The single-stream
+// reference codec lives on in the test-only oracle library
+// (oracles/lossless_reference.h) as the differential-test oracle and the
+// serial baseline in bench_micro --lossless_json.
 //
-// Either path always decodes to exactly the original bytes; when entropy
+// A stream always decodes to exactly the original bytes; when entropy
 // coding would expand a block (typical for SPECK's near-random bitplanes)
-// that block is stored raw with one byte of overhead.
+// that block is stored raw at no overhead beyond its directory entry.
 
 #include <cstdint>
 #include <vector>
@@ -35,10 +37,7 @@
 
 namespace sperr::lossless {
 
-/// Per-block entropy tags of the format-3 directory (BlockInfo::mode for
-/// tagged streams). Format-2 streams reuse the same numbering via their
-/// payload mode byte (raw = 0, Huffman = 1); arithmetic exists only in
-/// format 3.
+/// Per-block entropy tags of the block directory (BlockInfo::mode).
 inline constexpr uint8_t kEntropyRaw = 0;
 inline constexpr uint8_t kEntropyHuffman = 1;
 inline constexpr uint8_t kEntropyArith = 2;
@@ -63,8 +62,8 @@ inline std::vector<uint8_t> compress(const std::vector<uint8_t>& data,
   return compress(data.data(), data.size(), opts);
 }
 
-/// Decompress a buffer produced by compress() or encode_reference().
-/// Every block's checksum is verified; on a per-block failure the return is
+/// Decompress a buffer produced by compress(). A format byte other than 3
+/// returns Status::unsupported_version. Every block's checksum is verified; on a per-block failure the return is
 /// Status::corrupt_block and `*corrupt_block` (when non-null) receives the
 /// zero-based index of the first bad block. Framing-level failures return
 /// corrupt_stream/truncated_stream and leave `*corrupt_block` untouched.
@@ -92,44 +91,30 @@ inline Status decompress(const std::vector<uint8_t>& data, std::vector<uint8_t>&
 /// tail blocks bad instead of rejecting the whole stream. Returns ok when
 /// `bad_blocks` is empty, corrupt_block otherwise; damage to the header or
 /// directory itself is unrecoverable (corrupt_stream/truncated_stream, with
-/// `out` cleared). Reference-framing streams carry no blocks: they decode
-/// all-or-nothing exactly as in decompress().
+/// `out` cleared), and a retired format is unsupported_version.
 Status decompress_tolerant(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
                            std::vector<size_t>& bad_blocks, int num_threads = 0,
                            const ResourceLimits* limits = nullptr);
 
-/// Reference single-block codec: one serial LZ77+Huffman pass over the whole
-/// input, no directory, no checksums (the pre-block-rewrite format).
-std::vector<uint8_t> encode_reference(const uint8_t* data, size_t size);
-
-inline std::vector<uint8_t> encode_reference(const std::vector<uint8_t>& data) {
-  return encode_reference(data.data(), data.size());
-}
-
-Status decode_reference(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
-                        const ResourceLimits* limits = nullptr);
-
 /// Parsed view of a compressed stream's framing (no payload decoding).
 struct BlockInfo {
   uint64_t offset = 0;     ///< payload offset from the start of the stream
-  uint32_t comp_size = 0;  ///< compressed payload bytes (format 2: incl. the
-                           ///< mode byte; format 3: the body alone)
+  uint32_t comp_size = 0;  ///< compressed payload bytes
   uint64_t raw_size = 0;   ///< decoded bytes this block covers
   uint64_t checksum = 0;   ///< XXH64 of the raw block bytes
-  uint8_t mode = 0;        ///< entropy coding: kEntropyRaw / kEntropyHuffman
-                           ///< / kEntropyArith (the latter format 3 only)
+  uint8_t mode = 0;        ///< entropy tag: kEntropyRaw / kEntropyHuffman /
+                           ///< kEntropyArith
 };
 
 struct StreamInfo {
-  bool blocked = false;  ///< true for the block-parallel framings
-  bool tagged = false;   ///< true for format 3 (entropy tag in the directory)
   uint64_t raw_size = 0;
-  size_t block_size = 0;              ///< 0 for reference streams
-  std::vector<BlockInfo> blocks;      ///< empty for reference streams
+  size_t block_size = 0;
+  std::vector<BlockInfo> blocks;
 };
 
-/// Parse framing + block directory without decoding payloads. Used by the
-/// block-independence tests and `sperr_cc info`.
+/// Parse framing + block directory without decoding payloads (a retired
+/// format is unsupported_version). Used by the block-independence tests and
+/// `sperr_cc info`.
 Status inspect(const uint8_t* data, size_t size, StreamInfo& info);
 
 }  // namespace sperr::lossless

@@ -52,6 +52,11 @@ inline size_t match_length(const uint8_t* a, const uint8_t* b, size_t max_len) {
   return n;
 }
 
+struct Match {
+  uint32_t length = 0;  ///< 0 = no match
+  uint32_t distance = 0;
+};
+
 struct Matcher {
   int32_t* head;
   int32_t* prev;
@@ -92,8 +97,8 @@ struct Matcher {
 
   /// Best match at `pos` of length >= min_len against strictly earlier
   /// inserted positions; length 0 if none. `max_chain` caps the walk.
-  Token best_match(size_t pos, uint32_t min_len, int max_chain) const {
-    Token best{};
+  Match best_match(size_t pos, uint32_t min_len, int max_chain) const {
+    Match best{};
     const size_t max_len = std::min(kMaxMatch, size - pos);
     if (max_len < kMinMatch) return best;
     uint32_t best_len = min_len - 1;
@@ -137,7 +142,7 @@ void lz77_scan(const uint8_t* data, size_t size, TokenSink& sink,
   const size_t search_end = size >= kMinMatch ? size - kMinMatch + 1 : 0;
 
   while (pos < search_end) {
-    Token match = m.best_match(pos, kMinMatch, kMaxChainLen);
+    Match match = m.best_match(pos, kMinMatch, kMaxChainLen);
     if (match.length == 0) {
       // No match: stride forward, accelerating through incompressible runs.
       // Skipped positions are left out of the dictionary on purpose — data
@@ -154,7 +159,7 @@ void lz77_scan(const uint8_t* data, size_t size, TokenSink& sink,
       // pos + 1 is strictly better (zlib's heuristic, improves dense data).
       m.insert(pos);
       const int chain = match.length >= kGoodLength ? kMaxChainLen / 4 : kMaxChainLen;
-      const Token next = m.best_match(pos + 1, match.length + 2, chain);
+      const Match next = m.best_match(pos + 1, match.length + 2, chain);
       if (next.length != 0) {
         ++pos;  // data[pos - 1] joins the pending literal run
         match = next;
@@ -167,68 +172,6 @@ void lz77_scan(const uint8_t* data, size_t size, TokenSink& sink,
     lit_start = pos;
   }
   if (size > lit_start) sink.on_literals(data + lit_start, size - lit_start);
-}
-
-namespace {
-
-struct VectorSink final : TokenSink {
-  std::vector<Token>& tokens;
-  explicit VectorSink(std::vector<Token>& t) : tokens(t) {}
-  void on_literal(uint8_t byte) override {
-    Token lit{};
-    lit.literal = byte;
-    tokens.push_back(lit);
-  }
-  void on_match(uint32_t length, uint32_t distance) override {
-    Token m{};
-    m.length = length;
-    m.distance = distance;
-    tokens.push_back(m);
-  }
-};
-
-}  // namespace
-
-std::vector<Token> lz77_tokenize(const uint8_t* data, size_t size) {
-  std::vector<Token> tokens;
-  if (size == 0) return tokens;
-  tokens.reserve(size / 4);
-  VectorSink sink(tokens);
-  lz77_scan(data, size, sink);
-  return tokens;
-}
-
-bool lz77_reconstruct(const std::vector<Token>& tokens, std::vector<uint8_t>& out,
-                      size_t expected_size) {
-  if (expected_size) out.reserve(out.size() + expected_size);
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      out.push_back(t.literal);
-      continue;
-    }
-    if (t.distance == 0 || t.distance > out.size()) return false;
-    const size_t len = t.length;
-    const size_t start = out.size() - t.distance;
-    out.resize(out.size() + len);
-    uint8_t* dst = out.data() + out.size() - len;
-    const uint8_t* src = out.data() + start;
-    if (t.distance >= len) {
-      std::memcpy(dst, src, len);
-    } else {
-      // Overlapping match: seed one period, then double the copied region
-      // until `len` is covered. Each memcpy's source and destination are
-      // disjoint, so this widens to bulk copies while preserving the
-      // byte-serial replication semantics.
-      size_t copied = std::min<size_t>(t.distance, len);
-      std::memcpy(dst, src, copied);
-      while (copied < len) {
-        const size_t chunk = std::min(copied, len - copied);
-        std::memcpy(dst + copied, dst, chunk);
-        copied += chunk;
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace sperr::lossless

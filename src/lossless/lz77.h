@@ -12,8 +12,9 @@
 // (the block codec) can count symbol frequencies or feed an entropy coder
 // directly without ever materializing a token array. Literal runs are
 // delivered batched (one on_literals() call per run) to keep virtual
-// dispatch off the per-byte path. The vector-returning lz77_tokenize()
-// wrapper survives for unit tests and the reference (single-block) codec.
+// dispatch off the per-byte path. The vector-returning lz77_tokenize() /
+// lz77_reconstruct() pair lives with the reference codec in the test-only
+// oracle library (oracles/lossless_reference.h).
 
 #include <cstddef>
 #include <cstdint>
@@ -26,13 +27,6 @@ namespace sperr::lossless {
 inline constexpr size_t kWindowSize = 1u << 15;
 inline constexpr size_t kMinMatch = 4;
 inline constexpr size_t kMaxMatch = 258;
-
-struct Token {
-  // literal when length == 0 (value in `literal`), match otherwise.
-  uint32_t length = 0;    ///< kMinMatch..kMaxMatch for matches, 0 for literal
-  uint32_t distance = 0;  ///< 1..kWindowSize for matches
-  uint8_t literal = 0;
-};
 
 /// Receives the parse of lz77_scan() one decision at a time, in input order.
 /// Literal runs arrive through on_literals(); the default implementation
@@ -65,17 +59,5 @@ struct MatchScratch {
 /// far below that).
 void lz77_scan(const uint8_t* data, size_t size, TokenSink& sink,
                MatchScratch* scratch = nullptr);
-
-/// Tokenize `data` into a materialized token vector (lz77_scan + push_back).
-std::vector<Token> lz77_tokenize(const uint8_t* data, size_t size);
-
-/// Reconstruct the original bytes from a token stream, appending to `out`.
-/// `expected_size`, when nonzero, is the decoded size promised by the
-/// framing header and is reserved up front. Overlapping matches (distance <
-/// length) replicate their pattern with a doubling widened copy rather than
-/// a byte-at-a-time loop. Returns false if a token references data before
-/// the start of the output (corrupt stream).
-bool lz77_reconstruct(const std::vector<Token>& tokens, std::vector<uint8_t>& out,
-                      size_t expected_size = 0);
 
 }  // namespace sperr::lossless

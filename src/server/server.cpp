@@ -313,9 +313,13 @@ struct Server::Impl {
       r.status = WireStatus::resource_exhausted;
       return r;
     }
-    std::vector<double> buf(chunk.dims.total(), 0.0);
+    // decode_chunk writes every sample, damaged or not: no pre-fill.
+    const size_t n = chunk.dims.total();
+    Arena& arena = tls_arena();
+    arena.reset();
+    double* buf = arena.alloc<double>(n);
     const ChunkReport crep = detail::decode_chunk(
-        oc, index, Recovery::fail_fast, buf.data(), &tls_arena(),
+        oc, index, Recovery::fail_fast, buf, &arena,
         chunk_lanes(detail::thread_budget(cfg.threads_per_request), 1,
                     cfg.intra_chunk_threads));
     if (crep.damaged()) {
@@ -323,11 +327,11 @@ struct Server::Impl {
       return r;
     }
     r.status = WireStatus::ok;
-    r.body.reserve(48 + buf.size() * 8);
+    r.body.reserve(48 + n * 8);
     append_dims(r.body, chunk.origin);
     append_dims(r.body, chunk.dims);
-    const auto* p = reinterpret_cast<const uint8_t*>(buf.data());
-    r.body.insert(r.body.end(), p, p + buf.size() * 8);
+    const auto* p = reinterpret_cast<const uint8_t*>(buf);
+    r.body.insert(r.body.end(), p, p + n * 8);
     return r;
   }
 

@@ -146,7 +146,7 @@ enum class ChunkAction : uint8_t {
 struct ChunkReport {
   size_t index = 0;
   Status status = Status::ok;     ///< this chunk's decode/verification verdict
-  bool checksum_present = false;  ///< v3 containers carry per-chunk checksums
+  bool checksum_present = false;  ///< checksum compared (false for a truncated extent)
   bool checksum_ok = false;       ///< stored == computed (false when absent)
   uint64_t checksum_stored = 0;
   uint64_t checksum_computed = 0;
@@ -165,7 +165,8 @@ struct DecodeReport {
   Status status = Status::ok;  ///< ok only when every chunk verified and decoded clean
   bool field_valid = false;    ///< the output field is usable (possibly recovered)
   bool header_ok = false;      ///< wrapper + container header + directory parsed
-  uint8_t version = 0;         ///< container version (3 = per-chunk integrity)
+  uint8_t version = 0;         ///< the wrapper's container version byte (3 unless
+                               ///< refused as unsupported_version)
   Recovery policy = Recovery::fail_fast;
   size_t damaged = 0;    ///< chunks that failed verification or decoding
   size_t recovered = 0;  ///< damaged chunks patched by the recovery policy

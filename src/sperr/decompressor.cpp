@@ -48,13 +48,10 @@ Status decompress_lowres(const uint8_t* stream, size_t nbytes, size_t drop_level
   // open_container guarantees payload_pos <= inner.size().
   const size_t avail = inner.size() - payload_pos;
   if (e.speck_len > avail) return Status::truncated_stream;
+  if (e.outlier_len > avail - size_t(e.speck_len)) return Status::truncated_stream;
+  // Checksum covers speck‖outlier; verify it before trusting the stream.
   const uint8_t* sp = inner.data() + payload_pos;
-  if (hdr.has_integrity()) {
-    // Checksum covers speck‖outlier; verify it before trusting the stream.
-    if (e.outlier_len > avail - size_t(e.speck_len)) return Status::truncated_stream;
-    if (xxhash64(sp, size_t(e.total_len())) != e.checksum)
-      return Status::corrupt_chunk;
-  }
+  if (xxhash64(sp, size_t(e.total_len())) != e.checksum) return Status::corrupt_chunk;
   // Outlier corrections live on the full-resolution grid; they do not apply
   // to a coarse reconstruction (their energy is within the tolerance anyway).
   // Decode straight from the container slice — no heap copy of the stream.

@@ -1,5 +1,7 @@
 #include "sperr/header.h"
 
+#include <algorithm>
+
 #include "common/byteio.h"
 #include "common/checksum.h"
 #include "lossless/codec.h"
@@ -8,8 +10,8 @@
 namespace sperr {
 
 namespace {
-constexpr size_t kEntryBytesV2 = 16;  ///< u64 speck_len + u64 outlier_len
-constexpr size_t kEntryBytesV3 = 32;  ///< + u64 checksum + f64 mean
+/// u64 speck_len + u64 outlier_len + u64 checksum + f64 mean.
+constexpr size_t kEntryBytes = 32;
 }  // namespace
 
 void ContainerHeader::serialize(std::vector<uint8_t>& out) const {
@@ -37,8 +39,8 @@ void ContainerHeader::serialize(std::vector<uint8_t>& out) const {
 }
 
 Status ContainerHeader::deserialize(ByteReader& br, uint8_t ver) {
+  if (ver != kVersion) return Status::unsupported_version;
   const size_t start = br.pos();
-  version = ver;
   if (br.u32() != kInnerMagic) return Status::corrupt_stream;
   const uint8_t m = br.u8();
   if (m > uint8_t(Mode::target_rmse)) return Status::corrupt_stream;
@@ -58,28 +60,23 @@ Status ContainerHeader::deserialize(ByteReader& br, uint8_t ver) {
   // No encoder writes a chunk SPECK cannot code; refuse before sizing
   // anything by the directory.
   if (!chunks_codable(dims, chunk_dims)) return Status::corrupt_stream;
-  const size_t entry_bytes = has_integrity() ? kEntryBytesV3 : kEntryBytesV2;
   // An entry count beyond what the remaining bytes can hold is garbage.
-  if (n > br.remaining() / entry_bytes) return Status::truncated_stream;
+  if (n > br.remaining() / kEntryBytes) return Status::truncated_stream;
   entries.clear();
   entries.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     ChunkEntry e;
     e.speck_len = br.u64();
     e.outlier_len = br.u64();
-    if (has_integrity()) {
-      e.checksum = br.u64();
-      e.mean = br.f64();
-    }
+    e.checksum = br.u64();
+    e.mean = br.f64();
     if (!br.ok()) return Status::truncated_stream;
     entries.push_back(e);
   }
-  if (has_integrity()) {
-    const size_t hashed = br.pos() - start;
-    const uint64_t stored = br.u64();
-    if (!br.ok()) return Status::truncated_stream;
-    if (stored != xxhash64(br.base() + start, hashed)) return Status::corrupt_stream;
-  }
+  const size_t hashed = br.pos() - start;
+  const uint64_t stored = br.u64();
+  if (!br.ok()) return Status::truncated_stream;
+  if (stored != xxhash64(br.base() + start, hashed)) return Status::corrupt_stream;
   if (dims.total() == 0) return Status::corrupt_stream;
   return Status::ok;
 }
@@ -101,36 +98,42 @@ std::vector<uint8_t> wrap_container(std::vector<uint8_t> inner, bool lossless,
 
 Status unwrap_container(const uint8_t* data, size_t size, std::vector<uint8_t>& inner,
                         size_t* corrupt_block, uint8_t* version,
-                        const ResourceLimits* limits) {
+                        const ResourceLimits* limits, std::vector<size_t>* salvaged) {
   ByteReader br(data, size);
   if (br.u32() != ContainerHeader::kOuterMagic) return Status::corrupt_stream;
   const uint8_t ver = br.u8();
-  if (ver < ContainerHeader::kMinVersion || ver > ContainerHeader::kVersion)
-    return Status::corrupt_stream;
+  if (!br.ok()) return Status::truncated_stream;
   if (version) *version = ver;
+  if (ver != ContainerHeader::kVersion) return Status::unsupported_version;
   const uint8_t lossless_flag = br.u8();
   const uint64_t len = br.u64();
   if (!br.ok()) return Status::truncated_stream;
-  const uint8_t* payload = br.raw(len);
-  if (!payload) return Status::truncated_stream;
+  if (len > br.remaining() && !salvaged) return Status::truncated_stream;
+  const size_t avail = std::min<uint64_t>(len, br.remaining());
+  const uint8_t* payload = br.base() + br.pos();
 
-  if (lossless_flag)
-    return lossless::decompress(payload, len, inner, corrupt_block,
+  if (!lossless_flag) {
+    inner.assign(payload, payload + avail);
+    return Status::ok;
+  }
+  if (!salvaged)
+    return lossless::decompress(payload, avail, inner, corrupt_block,
                                 /*num_threads=*/0, limits);
-  inner.assign(payload, payload + len);
-  return Status::ok;
+  const Status s = lossless::decompress_tolerant(payload, avail, inner, *salvaged,
+                                                 /*num_threads=*/0, limits);
+  // corrupt_block means the framing held and the good blocks decoded —
+  // recoverable. Anything else destroyed the lossless framing itself.
+  return s == Status::corrupt_block ? Status::ok : s;
 }
 
 Status open_container(const uint8_t* data, size_t size, std::vector<uint8_t>& inner,
                       ContainerHeader& hdr, size_t* payload_pos,
                       size_t* corrupt_block, const ResourceLimits* limits) {
-  uint8_t version = ContainerHeader::kVersion;
-  if (const Status s =
-          unwrap_container(data, size, inner, corrupt_block, &version, limits);
+  if (const Status s = unwrap_container(data, size, inner, corrupt_block, nullptr, limits);
       s != Status::ok)
     return s;
   ByteReader br(inner.data(), inner.size());
-  if (const Status s = hdr.deserialize(br, version); s != Status::ok) return s;
+  if (const Status s = hdr.deserialize(br); s != Status::ok) return s;
   // The directory parsed, so the chunk count is real — but decoding admits
   // one buffer per chunk, so an absurd count is rejected before any of that.
   if (!effective_limits(limits).admits_chunks(hdr.entries.size()))

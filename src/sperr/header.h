@@ -15,9 +15,10 @@
 // The per-chunk XXH64 covers the chunk's speck‖outlier payload bytes; the
 // trailing header checksum covers every header byte before it (magic through
 // directory), so damage to the directory itself is detected rather than
-// silently mis-slicing the payload. Versions 1–2 used 16-byte directory
-// entries (lengths only, no checksums) and remain decodable; the outer
-// version byte selects the layout.
+// silently mis-slicing the payload. Version 3 (with lossless format 3) is
+// the only layout written or read: any other outer version byte, such as the
+// retired versions 1-2 of earlier development builds, is refused as
+// Status::unsupported_version (docs/FORMAT.md, "Compatibility policy").
 
 #include <cstdint>
 #include <vector>
@@ -29,8 +30,7 @@
 
 namespace sperr {
 
-/// One chunk's directory entry. `checksum` and `mean` exist from container
-/// version 3 on (zero for streams read from v1/v2 containers).
+/// One chunk's directory entry.
 struct ChunkEntry {
   uint64_t speck_len = 0;
   uint64_t outlier_len = 0;
@@ -47,28 +47,22 @@ struct ChunkEntry {
 struct ContainerHeader {
   static constexpr uint32_t kOuterMagic = 0x5a525053;  // "SPRZ"
   static constexpr uint32_t kInnerMagic = 0x43525053;  // "SPRC"
-  // Version history: 1 = single-block lossless pass; 2 = block-parallel
-  // lossless framing with per-block checksums; 3 = per-chunk XXH64 + chunk
-  // means in the directory plus a header self-checksum (docs/FORMAT.md).
-  // Decoders accept all three; serialization always writes the current one.
+  // The one container version written and read (docs/FORMAT.md keeps the
+  // version history of the retired ones).
   static constexpr uint8_t kVersion = 3;
-  static constexpr uint8_t kMinVersion = 1;
 
   Mode mode = Mode::pwe;
   uint8_t precision = 8;  ///< bytes per sample of the original input (4 or 8)
-  uint8_t version = kVersion;  ///< container version this header was read from
   Dims dims;
   Dims chunk_dims;
   double quality = 0.0;  ///< tolerance (pwe) or target bpp (fixed_rate)
   std::vector<ChunkEntry> entries;  ///< per-chunk directory
 
-  /// True when the directory carries per-chunk checksums and means.
-  [[nodiscard]] bool has_integrity() const { return version >= 3; }
-
   void serialize(std::vector<uint8_t>& out) const;
 
-  /// Parse a header laid out as container version `version` (pass the outer
-  /// wrapper's version byte; the default reads the current layout).
+  /// Parse a header read from a container of version `version` (pass the
+  /// outer wrapper's version byte). Any version but kVersion is
+  /// Status::unsupported_version, before a byte is read.
   [[nodiscard]] Status deserialize(ByteReader& br, uint8_t version = kVersion);
 };
 
@@ -78,20 +72,27 @@ struct ContainerHeader {
 std::vector<uint8_t> wrap_container(std::vector<uint8_t> inner, bool lossless,
                                     const lossless::EncodeOptions& opts = {});
 
-/// Undo wrap_container; `inner` receives the decoded container bytes. When
-/// the lossless payload fails a per-block checksum the return is
-/// Status::corrupt_block and `*corrupt_block` (if non-null) names the block.
-/// `*version` (if non-null) receives the outer wrapper's version byte.
-/// The lossless payload's declared raw size is admitted against `limits`
+/// Undo wrap_container; `inner` receives the decoded container bytes.
+/// `*version` (if non-null) receives the outer wrapper's version byte, also
+/// when that version is refused as Status::unsupported_version. The
+/// lossless payload's declared raw size is admitted against `limits`
 /// (nullptr = ResourceLimits::defaults()) before the inner buffer is sized;
 /// a violation returns Status::resource_exhausted.
+///
+/// Strict when `salvaged` is null: a payload shorter than declared is
+/// truncated_stream, and a lossless block failing its checksum returns
+/// Status::corrupt_block with `*corrupt_block` (if non-null) naming it.
+/// Tolerant otherwise: a short payload yields what its present bytes decode
+/// to, corrupt lossless blocks are zero-filled and listed in `*salvaged`, and
+/// the return is ok as long as the lossless framing itself held.
 Status unwrap_container(const uint8_t* data, size_t size, std::vector<uint8_t>& inner,
                         size_t* corrupt_block = nullptr, uint8_t* version = nullptr,
-                        const ResourceLimits* limits = nullptr);
+                        const ResourceLimits* limits = nullptr,
+                        std::vector<size_t>* salvaged = nullptr);
 
 /// unwrap_container + ContainerHeader::deserialize in one step (the common
 /// prologue of every decoder). On success `inner` holds the container bytes,
-/// `hdr` the parsed header (hdr.version set from the wrapper), and
+/// `hdr` the parsed header, and
 /// `*payload_pos` (if non-null) the offset of the first chunk stream within
 /// `inner`. Consults `limits` before any header-sized allocation: the
 /// lossless raw size and the declared chunk count are both admitted first.

@@ -309,7 +309,8 @@ Status decompress_file(const std::string& in_path, const std::string& out_path,
     std::vector<double> buf;
     Arena& arena = tls_arena();
     for (size_t i = 0; i < oc.chunks.size(); ++i) {
-      buf.assign(oc.chunks[i].dims.total(), 0.0);
+      // decode_chunk writes every sample, damaged or not: no pre-fill.
+      buf.resize(oc.chunks[i].dims.total());
       arena.reset();
       rep.chunks[i] = sperr::detail::decode_chunk(oc, i, policy, buf.data(), &arena);
       if (rep.chunks[i].damaged()) {

@@ -28,59 +28,24 @@ namespace sperr {
 
 namespace detail {
 
-namespace {
-
-/// Tolerant counterpart of unwrap_container: recover as many inner bytes as
-/// possible. Corrupt lossless blocks are zero-filled (recorded in
-/// `bad_blocks`); a payload shorter than advertised yields its prefix.
-Status unwrap_tolerant(const uint8_t* data, size_t size, std::vector<uint8_t>& inner,
-                       std::vector<size_t>& bad_blocks, uint8_t* version,
-                       const ResourceLimits* limits) {
-  ByteReader br(data, size);
-  if (br.u32() != ContainerHeader::kOuterMagic) return Status::corrupt_stream;
-  const uint8_t ver = br.u8();
-  if (ver < ContainerHeader::kMinVersion || ver > ContainerHeader::kVersion)
-    return Status::corrupt_stream;
-  if (version) *version = ver;
-  const uint8_t lossless_flag = br.u8();
-  const uint64_t len = br.u64();
-  if (!br.ok()) return Status::truncated_stream;
-  const size_t avail = std::min<uint64_t>(len, br.remaining());
-  const uint8_t* payload = br.base() + br.pos();
-
-  if (lossless_flag) {
-    const Status s = lossless::decompress_tolerant(payload, avail, inner, bad_blocks,
-                                                   /*num_threads=*/0, limits);
-    // corrupt_block means the framing held and the good blocks decoded —
-    // recoverable. Anything else destroyed the lossless framing itself.
-    return s == Status::corrupt_block ? Status::ok : s;
-  }
-  inner.assign(payload, payload + avail);
-  return Status::ok;
-}
-
-}  // namespace
-
 Status open_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
                      OpenedContainer& oc, DecodeReport* report,
                      const ResourceLimits* limits) {
-  uint8_t version = ContainerHeader::kVersion;
-  Status s;
-  if (policy == Recovery::fail_fast) {
-    size_t bad_block = 0;
-    s = unwrap_container(stream, nbytes, oc.inner, &bad_block, &version, limits);
-    if (s == Status::corrupt_block && report)
-      report->lossless_bad_blocks.push_back(bad_block);
-  } else {
-    std::vector<size_t> bad_blocks;
-    s = unwrap_tolerant(stream, nbytes, oc.inner, bad_blocks, &version, limits);
-    if (report) report->lossless_bad_blocks = std::move(bad_blocks);
+  uint8_t version = 0;
+  size_t bad_block = 0;
+  std::vector<size_t> bad_blocks;
+  const Status s =
+      unwrap_container(stream, nbytes, oc.inner, &bad_block, &version, limits,
+                       policy == Recovery::fail_fast ? nullptr : &bad_blocks);
+  if (s == Status::corrupt_block) bad_blocks.push_back(bad_block);
+  if (report) {
+    report->version = version;
+    report->lossless_bad_blocks = std::move(bad_blocks);
   }
-  if (report) report->version = version;
   if (s != Status::ok) return s;
 
   ByteReader br(oc.inner.data(), oc.inner.size());
-  if (const Status hs = oc.hdr.deserialize(br, version); hs != Status::ok) return hs;
+  if (const Status hs = oc.hdr.deserialize(br); hs != Status::ok) return hs;
 
   // Both chunk counts are header-declared: the directory's entry count and
   // the grid the extents imply. Admit both before sizing anything from them
@@ -97,8 +62,8 @@ Status open_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
 
   // Slice the payload: each chunk's streams start where the previous ones
   // ended, clamped to the bytes actually recovered. The directory lengths are
-  // untrusted u64s (v1/v2 carry no header checksum, and a v3 checksum is
-  // attacker-computable), so never form `speck_len + outlier_len` or
+  // untrusted u64s (the header checksum is attacker-computable), so never
+  // form `speck_len + outlier_len` or
   // `pos + total` where the sum can wrap: a wrapped total could masquerade as
   // a small intact extent while the advertised lengths stay huge.
   oc.slices.resize(oc.chunks.size());
@@ -142,14 +107,12 @@ ChunkReport audit_chunk(const OpenedContainer& oc, size_t i) {
     r.status = Status::truncated_stream;
     return r;
   }
-  if (oc.hdr.has_integrity()) {
-    r.checksum_present = true;
-    r.checksum_stored = e.checksum;
-    r.checksum_computed =
-        xxhash64(oc.inner.data() + sl.offset, sl.speck_avail + sl.outlier_avail);
-    r.checksum_ok = r.checksum_computed == r.checksum_stored;
-    if (!r.checksum_ok) r.status = Status::corrupt_chunk;
-  }
+  r.checksum_present = true;
+  r.checksum_stored = e.checksum;
+  r.checksum_computed =
+      xxhash64(oc.inner.data() + sl.offset, sl.speck_avail + sl.outlier_avail);
+  r.checksum_ok = r.checksum_computed == r.checksum_stored;
+  if (!r.checksum_ok) r.status = Status::corrupt_chunk;
   return r;
 }
 
@@ -169,7 +132,7 @@ ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
     // extents regardless so no directory value can size a read.
     const Status cs = pipeline::decode(sp, sl.speck_avail, op, sl.outlier_avail,
                                        cdims, buf, arena, intra_threads);
-    if (cs != Status::ok) r.status = cs;  // possible on v1/v2 (no checksums)
+    if (cs != Status::ok) r.status = cs;  // a checksum forged over bad streams
   }
 
   if (r.damaged()) {
@@ -202,8 +165,7 @@ ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
         if (coarse_ok) {
           r.action = ChunkAction::coarse;
         } else {
-          const double dc =
-              oc.hdr.has_integrity() && std::isfinite(e.mean) ? e.mean : 0.0;
+          const double dc = std::isfinite(e.mean) ? e.mean : 0.0;
           std::fill(buf, buf + n, dc);
           r.action = ChunkAction::dc_fill;
         }

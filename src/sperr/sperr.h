@@ -68,8 +68,10 @@ Status decompress(const uint8_t* stream, size_t nbytes, std::vector<float>& out,
 /// the fill policies that includes recovered fields — inspect
 /// report->damaged for whether anything was patched); returns an error only
 /// when nothing could be recovered (wrapper/header/directory destroyed, or
-/// fail_fast met damage). Works on v1/v2 containers too, where only
-/// structural damage (bad lengths, truncation) is detectable.
+/// fail_fast met damage). A container of a retired version (anything but
+/// version 3, or a lossless payload of a format other than 3) is refused as
+/// Status::unsupported_version under every policy, with report->version
+/// naming the wrapper's version byte.
 Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
                            std::vector<double>& out, Dims& dims,
                            DecodeReport* report = nullptr,
@@ -79,8 +81,8 @@ Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy
 /// the header self-checksum, and verify every chunk's XXH64. Much cheaper
 /// than a decode (hashing only). Returns ok for a fully intact archive;
 /// corrupt_chunk when any chunk fails (all chunks are always audited —
-/// per-chunk verdicts land in `report`). v1/v2 containers verify lengths
-/// only (checksum_present = false in their chunk reports).
+/// per-chunk verdicts land in `report`). A retired container version is
+/// Status::unsupported_version, as in decompress_tolerant().
 Status verify_container(const uint8_t* stream, size_t nbytes,
                         DecodeReport* report = nullptr,
                         const ResourceLimits* limits = nullptr);

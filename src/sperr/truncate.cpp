@@ -34,7 +34,6 @@ Status truncate_fixed_rate(const uint8_t* stream, size_t nbytes, double new_bpp,
   if (chunks.size() != hdr.entries.size()) return Status::corrupt_stream;
 
   ContainerHeader new_hdr = hdr;
-  new_hdr.version = ContainerHeader::kVersion;  // v1/v2 input re-wraps as v3
   new_hdr.quality = std::min(new_bpp, hdr.quality);
   new_hdr.entries.clear();
 

@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "lossless/codec.h"
+#include "oracles/lossless_reference.h"
 
 namespace sperr::lossless {
 namespace {

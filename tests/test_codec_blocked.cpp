@@ -1,6 +1,7 @@
 // Block-parallel lossless codec: differential equivalence against the
-// reference single-block codec, block framing/independence contracts, and
-// per-block corruption reporting.
+// reference single-block codec (the sperr_oracles copy), refusal of its
+// retired framing, block framing/independence contracts, and per-block
+// corruption reporting.
 
 #include "lossless/codec.h"
 
@@ -10,6 +11,7 @@
 
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "oracles/lossless_reference.h"
 
 namespace sperr::lossless {
 namespace {
@@ -18,7 +20,7 @@ constexpr size_t kSmallBlock = size_t(1) << 12;  // codec minimum, forces many b
 
 std::vector<uint8_t> compressible_blob(size_t n, uint32_t seed) {
   // Repetitive text with a sprinkle of noise: compresses well but not
-  // degenerately, so multi-block streams stay in kModeLz.
+  // degenerately, so multi-block streams stay entropy-coded.
   Rng rng(seed);
   std::string text;
   while (text.size() < n) {
@@ -60,11 +62,35 @@ TEST(CodecBlocked, DifferentialAgainstReferenceCodec) {
 }
 
 TEST(CodecBlocked, DecompressDispatchesOnReferenceFraming) {
-  const auto input = compressible_blob(5000, 4);
-  const auto reference = encode_reference(input);
+  // The leading byte of a reference stream is its mode: 0 (stored) or 1
+  // (LZ77 + Huffman), i.e. retired formats 0/1. Every entry point dispatches
+  // on that byte and refuses the stream unread — it is never decoded, and a
+  // retired format is not reported as damage.
+  const auto compressible = encode_reference(compressible_blob(5000, 4));
+  const auto stored = encode_reference(random_blob(3000, 4));
+  ASSERT_EQ(compressible[0], 1u);
+  ASSERT_EQ(stored[0], 0u);
+  for (const auto& stream : {compressible, stored}) {
+    std::vector<uint8_t> out{9};
+    size_t bad = 77;
+    EXPECT_EQ(decompress(stream, out, &bad), Status::unsupported_version);
+    EXPECT_EQ(bad, 77u);
+    std::vector<size_t> bad_blocks;
+    EXPECT_EQ(decompress_tolerant(stream.data(), stream.size(), out, bad_blocks),
+              Status::unsupported_version);
+    EXPECT_TRUE(out.empty());
+    EXPECT_TRUE(bad_blocks.empty());
+    StreamInfo info;
+    EXPECT_EQ(inspect(stream.data(), stream.size(), info), Status::unsupported_version);
+    EXPECT_TRUE(info.blocks.empty());
+  }
+
+  // Format 2 (the untagged block framing) is retired too: a current stream
+  // relabelled as format 2 is refused, not parsed under the old layout.
+  auto relabelled = compress(compressible_blob(5000, 4));
+  relabelled[0] = 2;
   std::vector<uint8_t> out;
-  ASSERT_EQ(decompress(reference, out), Status::ok);  // auto-detects old framing
-  EXPECT_EQ(out, input);
+  EXPECT_EQ(decompress(relabelled, out), Status::unsupported_version);
 }
 
 // --- framing -----------------------------------------------------------------
@@ -73,7 +99,6 @@ TEST(CodecBlocked, EmptyInputIsHeaderOnlyStream) {
   const auto packed = compress(std::vector<uint8_t>{});
   StreamInfo info;
   ASSERT_EQ(inspect(packed.data(), packed.size(), info), Status::ok);
-  EXPECT_TRUE(info.blocked);
   EXPECT_EQ(info.raw_size, 0u);
   EXPECT_TRUE(info.blocks.empty());
   std::vector<uint8_t> out{1, 2, 3};
@@ -98,7 +123,7 @@ TEST(CodecBlocked, DirectoryCoversEveryBlockWithChecksums) {
   StreamInfo info;
   ASSERT_EQ(inspect(packed.data(), packed.size(), info), Status::ok);
   EXPECT_EQ(info.block_size, kSmallBlock);
-  EXPECT_TRUE(info.tagged);  // format 3: entropy tag lives in the directory
+  EXPECT_EQ(packed[0], 3u);  // format 3: entropy tag lives in the directory
   ASSERT_EQ(info.blocks.size(), 4u);
   uint64_t raw_total = 0;
   for (size_t b = 0; b < info.blocks.size(); ++b) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "common/byteio.h"
 #include "data/synthetic.h"
 #include "sperr/header.h"
+#include "sperr/outofcore.h"
 #include "sperr/sperr.h"
 
 namespace sperr {
@@ -107,53 +109,85 @@ TEST(GoldenStreams, Pwe2dSlice) {
     ASSERT_LE(std::fabs(field[i] - recon[i]), cfg.tolerance) << "index " << i;
 }
 
-// ---- Legacy container compatibility ---------------------------------------
-// The *_v2.sperr fixtures are frozen bytes written before container v3 added
-// per-chunk checksums. They are decode-only: archives in the wild must keep
-// decoding forever, but nothing re-encodes to the old layout.
+// ---- Retired container versions ---------------------------------------------
+// The *_v2.sperr fixtures are frozen bytes of container v2 (lossless format
+// 2), which only earlier development builds wrote. Decoders read container
+// v3 with lossless format 3 only, so every decode entry point must refuse
+// them as unsupported_version — never decode them, never call them corrupt.
 
-void check_legacy_v2(const std::string& name, Dims dims,
-                     std::vector<double>& recon) {
+/// Every whole-container decoder refuses `blob` as unsupported_version and
+/// reports the wrapper's version byte `version` where a report exists.
+void expect_refused(const std::vector<uint8_t>& blob, uint8_t version,
+                    const std::string& what) {
+  SCOPED_TRACE(what);
+  std::vector<double> out;
+  Dims od;
+  EXPECT_EQ(decompress(blob.data(), blob.size(), out, od), Status::unsupported_version);
+  EXPECT_TRUE(out.empty());
+  std::vector<float> out32;
+  EXPECT_EQ(decompress(blob.data(), blob.size(), out32, od),
+            Status::unsupported_version);
+  EXPECT_TRUE(out32.empty());
+  EXPECT_EQ(decompress_lowres(blob.data(), blob.size(), 1, out, od),
+            Status::unsupported_version);
+  for (const Recovery policy :
+       {Recovery::fail_fast, Recovery::zero_fill, Recovery::coarse_fill}) {
+    DecodeReport rep;
+    EXPECT_EQ(decompress_tolerant(blob.data(), blob.size(), policy, out, od, &rep),
+              Status::unsupported_version);
+    EXPECT_EQ(rep.status, Status::unsupported_version);
+    EXPECT_EQ(rep.version, version);
+    EXPECT_FALSE(rep.header_ok);
+    EXPECT_FALSE(rep.field_valid);
+    EXPECT_TRUE(rep.chunks.empty());
+  }
+  DecodeReport rep;
+  EXPECT_EQ(verify_container(blob.data(), blob.size(), &rep),
+            Status::unsupported_version);
+  EXPECT_EQ(rep.version, version);
+  EXPECT_TRUE(rep.chunks.empty());
+
+  // The out-of-core reader refuses it before creating any output file.
+  const std::string dir = ::testing::TempDir();
+  const std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::string in_path = dir + "/golden_" + name + ".sperr";
+  const std::string out_path = dir + "/golden_" + name + ".raw";
+  write_file(in_path, blob);
+  std::remove(out_path.c_str());
+  for (const Recovery policy : {Recovery::fail_fast, Recovery::zero_fill}) {
+    DecodeReport frep;
+    EXPECT_EQ(outofcore::decompress_file(in_path, out_path, 8, policy, &frep),
+              Status::unsupported_version);
+    EXPECT_EQ(frep.version, version);
+  }
+  EXPECT_FALSE(std::ifstream(out_path).good()) << "refusal wrote " << out_path;
+  std::remove(in_path.c_str());
+}
+
+/// A v2 fixture is refused as it is, and again with its version byte set to
+/// 3: a v3 wrapper around a lossless format-2 payload, which development
+/// builds between container v3 and lossless format 3 wrote.
+void check_retired_v2(const std::string& name) {
   const auto golden = read_file(golden_path(name));
   ASSERT_FALSE(golden.empty()) << name << " missing (frozen fixture, never regenerated)";
   ASSERT_EQ(golden[4], 2u) << name << " is not a v2 container";
+  ASSERT_EQ(golden[5], 1u) << name << " carries no lossless payload";
+  ASSERT_EQ(golden[14], 2u) << name << " lossless payload is not format 2";
+  expect_refused(golden, 2, name);
 
-  Dims out_dims;
-  ASSERT_EQ(decompress(golden.data(), golden.size(), recon, out_dims), Status::ok);
-  ASSERT_EQ(out_dims.x, dims.x);
-  ASSERT_EQ(out_dims.y, dims.y);
-  ASSERT_EQ(out_dims.z, dims.z);
-  ASSERT_EQ(recon.size(), dims.total());
+  auto v3_wrapper = golden;
+  v3_wrapper[4] = ContainerHeader::kVersion;
+  expect_refused(v3_wrapper, ContainerHeader::kVersion, name + " in a v3 wrapper");
 }
 
-TEST(GoldenStreams, LegacyV2Pwe3dStillDecodes) {
-  const Dims dims{33, 17, 9};
-  const auto field = data::miranda_pressure(dims, 7);
-  std::vector<double> recon;
-  check_legacy_v2("pwe_3d_v2.sperr", dims, recon);
-  for (size_t i = 0; i < recon.size(); ++i)
-    ASSERT_LE(std::fabs(field[i] - recon[i]), 0.02) << "index " << i;
-}
+TEST(GoldenStreams, RetiredV2Pwe3dRefused) { check_retired_v2("pwe_3d_v2.sperr"); }
 
-TEST(GoldenStreams, LegacyV2Pwe2dStillDecodes) {
-  const Dims dims{48, 37, 1};
-  const auto field = data::lighthouse_2d(dims, 11);
-  std::vector<double> recon;
-  check_legacy_v2("pwe_2d_v2.sperr", dims, recon);
-  for (size_t i = 0; i < recon.size(); ++i)
-    ASSERT_LE(std::fabs(field[i] - recon[i]), 0.005) << "index " << i;
-}
+TEST(GoldenStreams, RetiredV2Pwe2dRefused) { check_retired_v2("pwe_2d_v2.sperr"); }
 
-TEST(GoldenStreams, LegacyV2FixedRateStillDecodes) {
-  const Dims dims{32, 32, 16};
-  const auto field = data::nyx_dark_matter_density(dims, 3);
-  std::vector<double> recon;
-  check_legacy_v2("rate_3d_v2.sperr", dims, recon);
-  for (size_t i = 0; i < recon.size(); ++i)
-    ASSERT_TRUE(std::isfinite(recon[i])) << "index " << i;
-}
+TEST(GoldenStreams, RetiredV2FixedRateRefused) { check_retired_v2("rate_3d_v2.sperr"); }
 
-TEST(GoldenStreams, SynthesizedV1StillDecodes) {
+TEST(GoldenStreams, SynthesizedV1Refused) {
   // No v1 fixture was ever committed (v1 predates the golden harness), so
   // build one in-test: encode fresh, then rewrite the container in the v1
   // layout — 16-byte directory entries, no checksums, plain (non-lossless)
@@ -198,12 +232,7 @@ TEST(GoldenStreams, SynthesizedV1StillDecodes) {
   put_u64(v1_blob, v1_inner.size());
   v1_blob.insert(v1_blob.end(), v1_inner.begin(), v1_inner.end());
 
-  std::vector<double> recon;
-  Dims out_dims;
-  ASSERT_EQ(decompress(v1_blob.data(), v1_blob.size(), recon, out_dims), Status::ok);
-  ASSERT_EQ(recon.size(), dims.total());
-  for (size_t i = 0; i < recon.size(); ++i)
-    ASSERT_LE(std::fabs(field[i] - recon[i]), cfg.tolerance) << "index " << i;
+  expect_refused(v1_blob, 1, "synthesized v1");
 }
 
 }  // namespace

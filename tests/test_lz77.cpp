@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "oracles/lossless_reference.h"
 
 namespace sperr::lossless {
 namespace {

@@ -228,37 +228,21 @@ TEST(Robustness, MultiChunkCorruptionLeavesOthersBitIdentical) {
   }
 }
 
-/// Hand-build a v2 archive (16-byte directory entries, no checksums — so
-/// crafted lengths reach the slicer unchallenged) with the given directory
-/// and `payload_bytes` bytes of chunk payload.
-std::vector<uint8_t> craft_v2_container(Dims dims, Dims cdims,
-                                        const std::vector<ChunkEntry>& entries,
-                                        size_t payload_bytes) {
+/// Hand-build a v3 archive with the given directory and `payload_bytes`
+/// bytes of chunk payload. serialize() computes the header self-checksum —
+/// anyone can — so crafted lengths reach the slicer unchallenged.
+std::vector<uint8_t> craft_container(Dims dims, Dims cdims,
+                                     const std::vector<ChunkEntry>& entries,
+                                     size_t payload_bytes) {
+  ContainerHeader hdr;
+  hdr.dims = dims;
+  hdr.chunk_dims = cdims;
+  hdr.quality = 1e-3;
+  hdr.entries = entries;
   std::vector<uint8_t> inner;
-  put_u32(inner, ContainerHeader::kInnerMagic);
-  put_u8(inner, uint8_t(Mode::pwe));
-  put_u8(inner, 8);
-  put_u64(inner, dims.x);
-  put_u64(inner, dims.y);
-  put_u64(inner, dims.z);
-  put_u64(inner, cdims.x);
-  put_u64(inner, cdims.y);
-  put_u64(inner, cdims.z);
-  put_f64(inner, 1e-3);
-  put_u32(inner, uint32_t(entries.size()));
-  for (const ChunkEntry& e : entries) {
-    put_u64(inner, e.speck_len);
-    put_u64(inner, e.outlier_len);
-  }
+  hdr.serialize(inner);
   inner.insert(inner.end(), payload_bytes, uint8_t(0xab));
-
-  std::vector<uint8_t> blob;
-  put_u32(blob, ContainerHeader::kOuterMagic);
-  put_u8(blob, 2);  // container v2
-  put_u8(blob, 0);  // no lossless pass
-  put_u64(blob, inner.size());
-  blob.insert(blob.end(), inner.begin(), inner.end());
-  return blob;
+  return wrap_container(std::move(inner), /*lossless=*/false);
 }
 
 TEST(Robustness, WrappingDirectoryLengthsAreRejected) {
@@ -266,7 +250,7 @@ TEST(Robustness, WrappingDirectoryLengthsAreRejected) {
   // value must read as damage (truncation) — never as an "intact" chunk
   // whose huge advertised lengths then size the decode reads.
   const Dims dims{8, 8, 8};
-  const auto blob = craft_v2_container(dims, dims, {ChunkEntry(UINT64_MAX, 2)}, 1);
+  const auto blob = craft_container(dims, dims, {ChunkEntry(UINT64_MAX, 2)}, 1);
 
   std::vector<double> out;
   Dims od;
@@ -297,7 +281,7 @@ TEST(Robustness, OverrunningChunkDoesNotAliasLaterChunks) {
   // slice aliased onto earlier payload bytes.
   const Dims dims{16, 8, 8};
   const Dims cdims{8, 8, 8};
-  const auto blob = craft_v2_container(
+  const auto blob = craft_container(
       dims, cdims, {ChunkEntry(UINT64_MAX, 2), ChunkEntry(4, 0)}, 8);
 
   std::vector<double> out;
@@ -357,7 +341,6 @@ TEST(Robustness, FlippedLosslessPayloadBitIsBlockIndexed) {
   ASSERT_EQ(lossless::inspect(blob.data() + kOuterBytes, blob.size() - kOuterBytes,
                               info),
             Status::ok);
-  ASSERT_TRUE(info.blocked);
   ASSERT_FALSE(info.blocks.empty());
 
   Rng rng(1012);
@@ -620,40 +603,32 @@ TEST(Robustness, BaselineDecodersSurviveFuzz) {
 // from the header alone — quickly, and without sizing a single allocation
 // from the hostile declaration.
 
-/// Hand-crafted v2 container: outer wrapper + inner header + one zero-length
-/// chunk entry. The declared dims / chunk grid are the payload-free bomb.
+/// Well-formed v3 container: outer wrapper + inner header (its self-checksum
+/// computed by serialize()) + one zero-length chunk entry. The declared
+/// dims / chunk grid are the payload-free bomb.
 std::vector<uint8_t> bomb_container(Dims dims, Dims chunk_dims) {
-  std::vector<uint8_t> inner;
-  put_u32(inner, 0x43525053);  // 'SPRC'
-  put_u8(inner, 0);            // mode = pwe
-  put_u8(inner, 8);            // precision = f64
-  put_u64(inner, dims.x);
-  put_u64(inner, dims.y);
-  put_u64(inner, dims.z);
-  put_u64(inner, chunk_dims.x);
-  put_u64(inner, chunk_dims.y);
-  put_u64(inner, chunk_dims.z);
-  put_f64(inner, 1e-6);  // quality
-  put_u32(inner, 1);     // nchunks
-  put_u64(inner, 0);     // entry 0: speck_len
-  put_u64(inner, 0);     // entry 0: outlier_len
-
-  std::vector<uint8_t> out;
-  put_u32(out, 0x5a525053);  // 'SPRZ'
-  put_u8(out, 2);            // v2: no header checksum to forge
-  put_u8(out, 0);            // lossless pass: off
-  put_u64(out, inner.size());
-  out.insert(out.end(), inner.begin(), inner.end());
-  return out;
+  return craft_container(dims, chunk_dims, {ChunkEntry(0, 0)}, 0);
 }
 
-/// Reference lossless framing declaring `raw_size` decoded bytes out of a
-/// 25-byte stream.
-std::vector<uint8_t> bomb_reference_stream(uint64_t raw_size) {
+/// Format-3 lossless stream declaring `raw_size` decoded bytes in 256 MiB
+/// arithmetic-tagged blocks, each only the 632-byte model-header floor an
+/// arithmetic payload must reach — well-formed framing whose declared size
+/// only resource admission can refuse.
+std::vector<uint8_t> bomb_lossless_stream(uint64_t raw_size) {
+  constexpr uint32_t kBlock = uint32_t(1) << 28;
+  constexpr uint32_t kArithFloor = 632;
+  const uint32_t nb = uint32_t((raw_size - 1) / kBlock + 1);
   std::vector<uint8_t> s;
-  put_u8(s, 1);  // kModeLz
+  put_u8(s, 3);  // format 3
+  put_u8(s, 0);  // reserved
+  put_u32(s, kBlock);
   put_u64(s, raw_size);
-  for (int i = 0; i < 16; ++i) put_u8(s, 0xa5);
+  put_u32(s, nb);
+  for (uint32_t b = 0; b < nb; ++b) {
+    put_u32(s, kArithFloor | (uint32_t(lossless::kEntropyArith) << 30));
+    put_u64(s, 0);  // block checksum
+  }
+  s.resize(s.size() + size_t(nb) * kArithFloor, 0xa5);
   return s;
 }
 
@@ -715,7 +690,7 @@ TEST(ResourceLimits, ExpansionCheckSurvivesOverflowingDeclarations) {
 }
 
 TEST(Robustness, BombHugeDimsRejectedFastByEveryDecoder) {
-  // 96 bytes declaring 2^21 x 2^21 x 1 doubles = 32 TiB of output.
+  // 120 bytes declaring 2^21 x 2^21 x 1 doubles = 32 TiB of output.
   const auto bomb =
       bomb_container({size_t(1) << 21, size_t(1) << 21, 1}, {256, 256, 256});
   ASSERT_LE(bomb.size(), size_t(1024));
@@ -768,18 +743,20 @@ TEST(Robustness, BombChunkGridExplosionRejected) {
 }
 
 TEST(Robustness, BombLosslessRawSizeRejected) {
-  // The reference framing's declared raw size is gated against the
-  // expansion cap immediately: 25 bytes cannot legitimately decode to 2 TiB.
-  const auto stream = bomb_reference_stream(uint64_t(1) << 41);
-  expect_fast_rejection("lossless reference bomb", [&] {
+  // The declared raw size is gated against the expansion cap as soon as the
+  // directory parses: 2.6 KB of arithmetic blocks cannot legitimately decode
+  // to 1 GiB.
+  const auto stream = bomb_lossless_stream(uint64_t(1) << 30);
+  ASSERT_EQ(stream.size(), 18u + 4 * (12 + 632));
+  expect_fast_rejection("lossless arithmetic-block bomb", [&] {
     std::vector<uint8_t> out;
     return lossless::decompress(stream, out);
   });
 
   // The same stream smuggled in as a container's lossless payload.
   std::vector<uint8_t> container;
-  put_u32(container, 0x5a525053);  // 'SPRZ'
-  put_u8(container, 3);
+  put_u32(container, ContainerHeader::kOuterMagic);
+  put_u8(container, ContainerHeader::kVersion);
   put_u8(container, 1);  // lossless pass: on
   put_u64(container, stream.size());
   container.insert(container.end(), stream.begin(), stream.end());

@@ -113,6 +113,16 @@ if [ "$got" -ne "$want" ]; then
   fails=$((fails + 1))
 fi
 
+# --- exit 3: retired container version ---------------------------------------
+# A frozen container v2 fixture: refused (not decoded, not called corrupt),
+# with the version byte it carries named on stderr.
+V2="$(dirname "$0")/../tests/golden/pwe_3d_v2.sperr"
+expect 3 "decompress retired v2 container" -- "$SPERR_CC" d "$V2" "$WORK/v2.raw"
+grep -q 'container version 2 is not supported' "$WORK/err.txt" || {
+  echo "FAIL: d on a v2 container did not name its version" >&2
+  fails=$((fails + 1))
+}
+
 if [ "$fails" -ne 0 ]; then
   echo "check_cli_codes: $fails assertion(s) failed" >&2
   exit 1

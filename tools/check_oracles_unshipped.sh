@@ -2,16 +2,16 @@
 # One-engine guard: the test oracles live only in the sperr_oracles library.
 # The shipped libraries must define none of them — the recursive SPECK coder
 # (speck::encode_reference / decode_reference), the per-line DWT drivers
-# (*dwt_reference) and the raw_bitplane ablation coder — so no second SPECK
-# engine or reference fallback creeps back into the product path. The
+# (*dwt_reference), the raw_bitplane ablation coder and the single-stream
+# lossless codec (lossless::encode_reference / decode_reference, with its
+# lz77_tokenize / lz77_reconstruct token API) — so no second engine or
+# reference fallback creeps back into the product path. The
 # oracle library itself must define every one of them, which proves the
 # patterns still match what nm prints.
 #
 #   usage: check_oracles_unshipped.sh ORACLES_LIB SHIPPED_LIB...
 #
 # Exits 0 when all hold, 1 on any violation, 77 (ctest SKIP) without nm.
-# (lossless::encode_reference / decode_reference are not oracles:
-# lossless::decompress still decodes the single-block framing with them.)
 set -euo pipefail
 
 if ! command -v nm >/dev/null 2>&1; then
@@ -24,6 +24,8 @@ patterns=(
   'sperr::speck::decode_reference'
   'sperr::wavelet::(forward|inverse)_dwt_reference'
   'sperr::speck::raw_bitplane_(encode|decode)'
+  'sperr::lossless::(encode|decode)_reference'
+  'sperr::lossless::lz77_(tokenize|reconstruct)'
 )
 any="$(IFS='|'; echo "${patterns[*]}")"
 

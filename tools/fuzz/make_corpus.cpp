@@ -2,12 +2,13 @@
 // small, deterministic, and split per target:
 //
 //   container/  valid containers (lossless / not), a truncation, and the
-//               bomb corpus: tiny headers declaring terabytes of output,
-//               a chunk-grid explosion, and a max-expansion lossless
-//               payload — each must be answered resource_exhausted, never
-//               allocated.
-//   lossless/   valid blocked + reference streams, a truncation, and a
-//               reference header declaring a 2 TiB raw size.
+//               bomb corpus: well-formed v3 headers declaring terabytes of
+//               output, a chunk-grid explosion, and a max-expansion
+//               lossless payload — each must be answered resource_exhausted,
+//               never allocated.
+//   lossless/   a valid stream, a truncation, a stream in the retired
+//               reference framing (refused as unsupported_version), and
+//               arithmetic-tagged blocks declaring 1 GiB from 2.6 KB.
 //   wire/       frame headers (valid / wrong magic) and STATS bodies at
 //               every documented growth point (168 / 216 / 224 bytes).
 //   server/     end-to-end request seeds for fuzz_server: selector byte +
@@ -29,8 +30,10 @@
 
 #include "common/byteio.h"
 #include "lossless/codec.h"
+#include "oracles/lossless_reference.h"
 #include "server/metrics.h"
 #include "server/protocol.h"
+#include "sperr/header.h"
 #include "sperr/sperr.h"
 
 namespace {
@@ -69,51 +72,49 @@ std::vector<uint8_t> valid_container(bool lossless) {
   return sperr::compress(field.data(), dims, cfg);
 }
 
-/// Hand-crafted v2 container (16-byte directory entries, no checksums):
-/// outer wrapper + inner header + one empty chunk entry. The header is what
-/// matters — the declared dims/chunk grid are the bomb.
+/// Well-formed v3 container (serialize() computes the header self-checksum)
+/// with one empty chunk entry. The header is what matters — the declared
+/// dims/chunk grid are the bomb.
 std::vector<uint8_t> bomb_container(sperr::Dims dims, sperr::Dims chunk_dims) {
+  sperr::ContainerHeader hdr;
+  hdr.dims = dims;
+  hdr.chunk_dims = chunk_dims;
+  hdr.quality = 1e-6;
+  hdr.entries = {sperr::ChunkEntry(0, 0)};
   std::vector<uint8_t> inner;
-  sperr::put_u32(inner, 0x43525053);  // 'SPRC'
-  sperr::put_u8(inner, 0);            // mode = pwe
-  sperr::put_u8(inner, 8);            // precision = f64
-  sperr::put_u64(inner, dims.x);
-  sperr::put_u64(inner, dims.y);
-  sperr::put_u64(inner, dims.z);
-  sperr::put_u64(inner, chunk_dims.x);
-  sperr::put_u64(inner, chunk_dims.y);
-  sperr::put_u64(inner, chunk_dims.z);
-  sperr::put_f64(inner, 1e-6);        // quality
-  sperr::put_u32(inner, 1);           // nchunks
-  sperr::put_u64(inner, 0);           // entry 0: speck_len
-  sperr::put_u64(inner, 0);           // entry 0: outlier_len
-
-  std::vector<uint8_t> out;
-  sperr::put_u32(out, 0x5a525053);  // 'SPRZ'
-  sperr::put_u8(out, 2);            // container version 2 (no header checksum)
-  sperr::put_u8(out, 0);            // lossless pass: off
-  sperr::put_u64(out, inner.size());
-  out.insert(out.end(), inner.begin(), inner.end());
-  return out;
+  hdr.serialize(inner);
+  return sperr::wrap_container(std::move(inner), /*lossless=*/false);
 }
 
-/// Reference lossless framing declaring `raw_size` decoded bytes out of a
-/// few payload bytes: mode byte + u64 raw size (+ filler).
-std::vector<uint8_t> bomb_reference_stream(uint64_t raw_size) {
+/// Format-3 lossless stream declaring `raw_size` decoded bytes in 256 MiB
+/// arithmetic-tagged blocks, each only the 632-byte model-header floor an
+/// arithmetic payload must reach: well-formed framing, far past the
+/// expansion cap.
+std::vector<uint8_t> bomb_lossless_stream(uint64_t raw_size) {
+  constexpr uint32_t kBlock = uint32_t(1) << 28;
+  constexpr uint32_t kArithFloor = 632;
+  const uint32_t nb = uint32_t((raw_size - 1) / kBlock + 1);
   std::vector<uint8_t> s;
-  sperr::put_u8(s, 1);  // kModeLz
+  sperr::put_u8(s, 3);  // format 3
+  sperr::put_u8(s, 0);  // reserved
+  sperr::put_u32(s, kBlock);
   sperr::put_u64(s, raw_size);
-  for (int i = 0; i < 16; ++i) sperr::put_u8(s, 0xa5);
+  sperr::put_u32(s, nb);
+  for (uint32_t b = 0; b < nb; ++b) {
+    sperr::put_u32(s, kArithFloor | (uint32_t(sperr::lossless::kEntropyArith) << 30));
+    sperr::put_u64(s, 0);  // block checksum
+  }
+  s.resize(s.size() + size_t(nb) * kArithFloor, 0xa5);
   return s;
 }
 
 /// A container whose *lossless payload* is the bomb: the outer wrapper says
-/// "lossless-coded inner container", the payload declares 2 TiB raw.
+/// "lossless-coded inner container", the payload declares 1 GiB raw.
 std::vector<uint8_t> bomb_lossless_container() {
-  const auto payload = bomb_reference_stream(uint64_t(1) << 41);
+  const auto payload = bomb_lossless_stream(uint64_t(1) << 30);
   std::vector<uint8_t> out;
-  sperr::put_u32(out, 0x5a525053);  // 'SPRZ'
-  sperr::put_u8(out, 3);
+  sperr::put_u32(out, sperr::ContainerHeader::kOuterMagic);
+  sperr::put_u8(out, sperr::ContainerHeader::kVersion);
   sperr::put_u8(out, 1);  // lossless pass: on
   sperr::put_u64(out, payload.size());
   out.insert(out.end(), payload.begin(), payload.end());
@@ -168,12 +169,13 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < bytes.size(); ++i)
     bytes[i] = uint8_t((i * 31) ^ (i >> 7));
   const auto blocked = sperr::lossless::compress(bytes);
+  // Retired format 1 (the reference framing): exercises the refusal path.
   const auto reference = sperr::lossless::encode_reference(bytes);
   write_file(root / "lossless" / "seed_blocked.lz", blocked);
   write_file(root / "lossless" / "seed_reference.lz", reference);
   write_file(root / "lossless" / "seed_truncated.lz", truncate(blocked, 0.5));
   write_file(root / "lossless" / "bomb_rawsize.lz",
-             bomb_reference_stream(uint64_t(1) << 41));
+             bomb_lossless_stream(uint64_t(1) << 30));
 
   // --- wire -----------------------------------------------------------------
   using namespace sperr::server;

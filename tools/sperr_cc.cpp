@@ -18,7 +18,9 @@
 // header declares more decoded output than the decoder's ResourceLimits
 // admit — the default 64 GiB ceiling, or --max-output-mb). Scripts can tell
 // "the file is damaged" (3) apart from "I was called wrong" (2), "the disk
-// failed" (1), and "this is a decompression bomb" (5).
+// failed" (1), and "this is a decompression bomb" (5). A container this build
+// does not read (any version but 3, or lossless format other than 3) is a 3,
+// with the version byte it carries named on stderr.
 
 #include <cstdio>
 #include <cstdlib>
@@ -43,6 +45,10 @@ constexpr int kExitUsage = 2;
 constexpr int kExitCorrupt = 3;
 constexpr int kExitVerify = 4;
 constexpr int kExitResource = 5;
+
+// The outer wrapper is magic(4) + version(1) + lossless(1) + len(8); the
+// lossless payload (when present) starts right after it.
+constexpr size_t kOuterBytes = 14;
 
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
@@ -203,6 +209,25 @@ const char* action_name(sperr::ChunkAction a) {
   }
 }
 
+/// Report a container refused as Status::unsupported_version: name the
+/// version byte it carries — the wrapper's, or inside a current wrapper the
+/// lossless payload's format byte.
+int refuse_version(const std::vector<uint8_t>& blob) {
+  constexpr unsigned kVersion = sperr::ContainerHeader::kVersion;
+  if (blob.size() > 4 && blob[4] != kVersion)
+    std::fprintf(stderr,
+                 "error: container version %u is not supported; this build reads "
+                 "version %u only\n",
+                 unsigned(blob[4]), kVersion);
+  else
+    std::fprintf(stderr,
+                 "error: lossless format %u is not supported; this build reads "
+                 "version %u containers with lossless format %u only\n",
+                 blob.size() > kOuterBytes ? unsigned(blob[kOuterBytes]) : 0u,
+                 kVersion, kVersion);
+  return kExitCorrupt;
+}
+
 /// One line per chunk: verdict, checksum comparison, extent, recovery action.
 void print_chunk_reports(const sperr::DecodeReport& rep) {
   for (const auto& c : rep.chunks) {
@@ -213,7 +238,7 @@ void print_chunk_reports(const sperr::DecodeReport& rep) {
                   static_cast<unsigned long long>(c.checksum_stored),
                   static_cast<unsigned long long>(c.checksum_computed));
     else
-      std::printf(" checksum absent (v%u container)", rep.version);
+      std::printf(" checksum not checked (extent cut short)");
     std::printf("  offset %llu, %llu+%llu bytes",
                 static_cast<unsigned long long>(c.offset),
                 static_cast<unsigned long long>(c.speck_len),
@@ -323,6 +348,7 @@ int cmd_decompress(const Args& args) {
                  to_string(s));
     return kExitResource;
   }
+  if (s == sperr::Status::unsupported_version) return refuse_version(blob);
   if (s != sperr::Status::ok) {
     std::fprintf(stderr, "error: decompression failed (%s)\n", to_string(s));
     return kExitCorrupt;
@@ -354,6 +380,7 @@ int cmd_info(const Args& args) {
                  "admit (decompression bomb?)\n");
     return kExitResource;
   }
+  if (us == sperr::Status::unsupported_version) return refuse_version(blob);
   if (us == sperr::Status::corrupt_block) {
     std::fprintf(stderr, "error: lossless block %zu failed its checksum\n", bad_block);
     return kExitCorrupt;
@@ -379,9 +406,8 @@ int cmd_info(const Args& args) {
   const char* mode = hdr.mode == sperr::Mode::pwe ? "pwe"
                      : hdr.mode == sperr::Mode::fixed_rate ? "fixed-rate"
                                                            : "target-rmse";
-  std::printf("version:     %u (%s)\n", hdr.version,
-              hdr.has_integrity() ? "per-chunk checksums"
-                                  : "legacy, lengths only");
+  std::printf("version:     %u (per-chunk checksums)\n",
+              unsigned(sperr::ContainerHeader::kVersion));
   std::printf("dims:        %s (%s input)\n", hdr.dims.to_string().c_str(),
               hdr.precision == 4 ? "f32" : "f64");
   std::printf("mode:        %s (quality parameter %.6g)\n", mode, hdr.quality);
@@ -397,14 +423,10 @@ int cmd_info(const Args& args) {
   std::printf("container:   %zu bytes (%.3f bits/pt)\n", blob.size(),
               double(blob.size()) * 8 / double(hdr.dims.total()));
 
-  // The outer wrapper is magic(4) + version(1) + lossless(1) + len(8); the
-  // lossless payload (when present) starts right after it.
-  constexpr size_t kOuterBytes = 14;
   if (blob.size() > kOuterBytes && blob[4 + 1] == 1) {
     sperr::lossless::StreamInfo li;
     if (sperr::lossless::inspect(blob.data() + kOuterBytes, blob.size() - kOuterBytes,
-                                 li) == sperr::Status::ok &&
-        li.blocked) {
+                                 li) == sperr::Status::ok) {
       size_t by_tag[3] = {};
       for (const auto& b : li.blocks)
         ++by_tag[b.mode < 3 ? b.mode : sperr::lossless::kEntropyRaw];
@@ -413,8 +435,6 @@ int cmd_info(const Args& args) {
           "checksummed\n",
           li.blocks.size(), li.block_size >> 10, by_tag[sperr::lossless::kEntropyRaw],
           by_tag[sperr::lossless::kEntropyHuffman], by_tag[sperr::lossless::kEntropyArith]);
-    } else {
-      std::printf("lossless:    single-block reference framing (no checksums)\n");
     }
   }
 

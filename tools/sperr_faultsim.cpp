@@ -106,8 +106,8 @@ Baseline make_lossless_baseline() {
   lossless::StreamInfo info;
   if (lossless::inspect(b.blob.data() + kOuterBytes, b.blob.size() - kOuterBytes,
                         info) != Status::ok ||
-      !info.blocked) {
-    std::fprintf(stderr, "faultsim: lossless baseline not blocked\n");
+      info.blocks.size() < 2) {
+    std::fprintf(stderr, "faultsim: lossless baseline not multi-block\n");
     std::exit(1);
   }
   for (const auto& bi : info.blocks)
